@@ -124,7 +124,14 @@ mod tests {
 
     #[test]
     fn token_rejects_garbage() {
-        for raw in ["", "nonsense", "CT", "CTxxSyy", "CT10", "XY1S0000000000000001"] {
+        for raw in [
+            "",
+            "nonsense",
+            "CT",
+            "CTxxSyy",
+            "CT10",
+            "XY1S0000000000000001",
+        ] {
             assert!(PageToken::decode(raw, 1).is_err(), "{raw:?}");
         }
     }

@@ -234,11 +234,20 @@ mod tests {
         let err = parse_search(&raw(&[("part", "snippet")])).unwrap_err();
         assert_eq!(err.api_reason(), Some(ApiErrorReason::InvalidSearchFilter));
         // Unsupported type.
-        let err = parse_search(&raw(&[("part", "snippet"), ("q", "x"), ("type", "playlist")]))
-            .unwrap_err();
+        let err = parse_search(&raw(&[
+            ("part", "snippet"),
+            ("q", "x"),
+            ("type", "playlist"),
+        ]))
+        .unwrap_err();
         assert_eq!(err.api_reason(), Some(ApiErrorReason::InvalidSearchFilter));
         // Bad order.
-        assert!(parse_search(&raw(&[("part", "snippet"), ("q", "x"), ("order", "rating0")])).is_err());
+        assert!(parse_search(&raw(&[
+            ("part", "snippet"),
+            ("q", "x"),
+            ("order", "rating0")
+        ]))
+        .is_err());
         // Bad timestamps.
         assert!(parse_search(&raw(&[
             ("part", "snippet"),
@@ -268,7 +277,9 @@ mod tests {
         let ids = parse_id_list(&raw(&[("id", "a,b"), ("id", "c")]), "id").unwrap();
         assert_eq!(ids, vec!["a", "b", "c"]);
         assert!(parse_id_list(&raw(&[]), "id").is_err());
-        let many: Vec<(String, String)> = (0..51).map(|i| ("id".to_string(), format!("v{i}"))).collect();
+        let many: Vec<(String, String)> = (0..51)
+            .map(|i| ("id".to_string(), format!("v{i}")))
+            .collect();
         assert!(parse_id_list(&many, "id").is_err());
     }
 }

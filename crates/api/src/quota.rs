@@ -230,12 +230,18 @@ mod tests {
     fn id_endpoints_are_cheap() {
         let ledger = QuotaLedger::new();
         for _ in 0..9_999 {
-            assert!(matches!(ledger.charge("k", Endpoint::Videos, t0()), Charge::Ok { .. }));
+            assert!(matches!(
+                ledger.charge("k", Endpoint::Videos, t0()),
+                Charge::Ok { .. }
+            ));
         }
         // One search no longer fits (9 999 + 100 > 10 000)…
         assert_eq!(ledger.charge("k", Endpoint::Search, t0()), Charge::Exceeded);
         // …but one more unit call does.
-        assert!(matches!(ledger.charge("k", Endpoint::Comments, t0()), Charge::Ok { .. }));
+        assert!(matches!(
+            ledger.charge("k", Endpoint::Comments, t0()),
+            Charge::Ok { .. }
+        ));
     }
 
     #[test]
@@ -248,7 +254,10 @@ mod tests {
         assert_eq!(ledger.charge("k", Endpoint::Search, t0()), Charge::Exceeded);
         // 06:59 UTC next day is still the same Pacific day (UTC−7).
         let before_reset = Timestamp::from_ymd_hms(2025, 2, 10, 6, 59, 0).unwrap();
-        assert_eq!(ledger.charge("k", Endpoint::Search, before_reset), Charge::Exceeded);
+        assert_eq!(
+            ledger.charge("k", Endpoint::Search, before_reset),
+            Charge::Exceeded
+        );
         // 07:00 UTC is Pacific midnight: fresh budget.
         let after_reset = Timestamp::from_ymd_hms(2025, 2, 10, 7, 0, 0).unwrap();
         assert!(matches!(
@@ -266,7 +275,10 @@ mod tests {
         // A full paper-style collection: 4 032 searches = 403 200 units.
         for i in 0..4_032 {
             assert!(
-                matches!(ledger.charge("research", Endpoint::Search, t0()), Charge::Ok { .. }),
+                matches!(
+                    ledger.charge("research", Endpoint::Search, t0()),
+                    Charge::Ok { .. }
+                ),
                 "failed at search {i}"
             );
         }
@@ -280,6 +292,9 @@ mod tests {
             ledger.charge("a", Endpoint::Search, t0());
         }
         assert_eq!(ledger.charge("a", Endpoint::Search, t0()), Charge::Exceeded);
-        assert!(matches!(ledger.charge("b", Endpoint::Search, t0()), Charge::Ok { .. }));
+        assert!(matches!(
+            ledger.charge("b", Endpoint::Search, t0()),
+            Charge::Ok { .. }
+        ));
     }
 }

@@ -480,7 +480,10 @@ mod tests {
         assert_eq!(json["kind"], "youtube#searchListResponse");
         assert_eq!(json["pageInfo"]["totalResults"], 1_000_000);
         assert_eq!(json["items"][0]["id"]["videoId"], "dQw4w9WgXcQ");
-        assert_eq!(json["items"][0]["snippet"]["publishedAt"], "2016-06-23T12:00:00Z");
+        assert_eq!(
+            json["items"][0]["snippet"]["publishedAt"],
+            "2016-06-23T12:00:00Z"
+        );
         assert!(json.get("prevPageToken").is_none());
         // Round trip.
         let back: SearchListResponse = serde_json::from_value(json).unwrap();
@@ -505,7 +508,8 @@ mod tests {
         let err = ErrorResponse {
             error: ErrorBody {
                 code: 403,
-                message: "The request cannot be completed because you have exceeded your quota.".into(),
+                message: "The request cannot be completed because you have exceeded your quota."
+                    .into(),
                 errors: vec![ErrorItem {
                     message: "quota exceeded".into(),
                     domain: "youtube.quota".into(),

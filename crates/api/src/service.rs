@@ -2,9 +2,7 @@
 //! platform records into wire resources, and fault injection.
 
 use crate::pagination::paginate;
-use crate::params::{
-    get, parse_id_list, parse_max_results, parse_part, parse_search, RawParams,
-};
+use crate::params::{get, parse_id_list, parse_max_results, parse_part, parse_search, RawParams};
 use crate::quota::{Charge, Endpoint, QuotaLedger};
 use crate::resources::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,9 +176,7 @@ impl ApiService {
             request.page_token.as_deref(),
             query_hash,
         )?;
-        page.next = page
-            .next
-            .filter(|_| page.end < reachable);
+        page.next = page.next.filter(|_| page.end < reachable);
         let want_snippet = request.parts.iter().any(|p| p == "snippet");
         let items: Vec<SearchResult> = outcome.video_ids[page.start..page.end]
             .iter()
@@ -565,7 +561,10 @@ mod tests {
                 ("order", "date"),
                 ("type", "video"),
                 ("maxResults", "50"),
-                ("publishedAfter", &Topic::Grammys.window_start().to_rfc3339()),
+                (
+                    "publishedAfter",
+                    &Topic::Grammys.window_start().to_rfc3339(),
+                ),
                 ("publishedBefore", &Topic::Grammys.window_end().to_rfc3339()),
             ],
         );
@@ -612,11 +611,7 @@ mod tests {
     #[test]
     fn quota_exhaustion_returns_403_envelope() {
         let svc = service();
-        let pairs = [
-            ("part", "id"),
-            ("q", "higgs boson"),
-            ("type", "video"),
-        ];
+        let pairs = [("part", "id"), ("q", "higgs boson"), ("type", "video")];
         // Default quota: 100 searches.
         for _ in 0..100 {
             let (status, _) = svc.handle(&request(Endpoint::Search, &pairs));
@@ -715,12 +710,19 @@ mod tests {
         // Now page through the uploads playlist.
         let (status, body) = svc.handle(&request(
             Endpoint::PlaylistItems,
-            &[("part", "snippet"), ("playlistId", &uploads), ("maxResults", "50")],
+            &[
+                ("part", "snippet"),
+                ("playlistId", &uploads),
+                ("maxResults", "50"),
+            ],
         ));
         assert_eq!(status, 200, "{body}");
         let items: PlaylistItemListResponse = serde_json::from_str(&body).unwrap();
         for item in &items.items {
-            assert_eq!(item.snippet.as_ref().unwrap().channel_id, channel.id.as_str());
+            assert_eq!(
+                item.snippet.as_ref().unwrap().channel_id,
+                channel.id.as_str()
+            );
         }
     }
 
@@ -745,7 +747,11 @@ mod tests {
             .topics
             .iter()
             .flat_map(|t| &t.videos)
-            .find(|v| !svc.platform().comment_threads(&v.id, svc.clock().now().add_days(60)).is_empty())
+            .find(|v| {
+                !svc.platform()
+                    .comment_threads(&v.id, svc.clock().now().add_days(60))
+                    .is_empty()
+            })
             .expect("some video has threads")
             .clone();
         let now_override = Some(svc.clock().now().add_days(60));
@@ -753,7 +759,11 @@ mod tests {
             now_override,
             ..request(
                 Endpoint::CommentThreads,
-                &[("part", "snippet,replies"), ("videoId", video.id.as_str()), ("maxResults", "100")],
+                &[
+                    ("part", "snippet,replies"),
+                    ("videoId", video.id.as_str()),
+                    ("maxResults", "100"),
+                ],
             )
         });
         assert_eq!(status, 200, "{body}");
@@ -768,7 +778,11 @@ mod tests {
                     now_override,
                     ..request(
                         Endpoint::Comments,
-                        &[("part", "snippet"), ("parentId", &thread.id), ("maxResults", "100")],
+                        &[
+                            ("part", "snippet"),
+                            ("parentId", &thread.id),
+                            ("maxResults", "100"),
+                        ],
                     )
                 });
                 assert_eq!(status, 200);

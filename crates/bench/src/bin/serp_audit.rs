@@ -18,7 +18,10 @@ fn main() {
             tables::f3(cmp.puppet_pairwise_overlap),
             tables::f3(cmp.api_serp_overlap),
             format!("{:.4}", cmp.random_baseline),
-            format!("{:.0}x", cmp.api_serp_overlap / cmp.random_baseline.max(1e-9)),
+            format!(
+                "{:.0}x",
+                cmp.api_serp_overlap / cmp.random_baseline.max(1e-9)
+            ),
         ]);
     }
     print!(

@@ -37,7 +37,14 @@ fn main() {
         print!(
             "{}",
             tables::render(
-                &["level", "query", "pool", "n(first)", "n(last)", "J(first,last)"],
+                &[
+                    "level",
+                    "query",
+                    "pool",
+                    "n(first)",
+                    "n(last)",
+                    "J(first,last)"
+                ],
                 &rows
             )
         );
@@ -86,6 +93,8 @@ fn main() {
         "\nTotal quota consumed by this experiment: {} units\n\
          (= {:.1} default-key days; researcher quotas exist for a reason).",
         client.budget().units_spent(),
-        client.budget().days_of_quota(ytaudit_api::DEFAULT_DAILY_QUOTA)
+        client
+            .budget()
+            .days_of_quota(ytaudit_api::DEFAULT_DAILY_QUOTA)
     );
 }

@@ -62,12 +62,42 @@ pub const TABLE4: [(Topic, u64, u64, u64, u64); 6] = [
 /// Table 5 (comment Jaccards): (topic, TL_NS, N_NS, TL_S, N_S); `None` =
 /// the paper's N/A.
 pub const TABLE5: [(Topic, Option<f64>, Option<f64>, Option<f64>, Option<f64>); 6] = [
-    (Topic::Blm, Some(0.329), Some(0.307), Some(0.976), Some(0.983)),
-    (Topic::Brexit, Some(0.381), Some(0.339), Some(0.999), Some(0.999)),
-    (Topic::Capitol, Some(0.648), Some(0.625), Some(0.998), Some(0.994)),
-    (Topic::Grammys, Some(0.728), Some(0.737), Some(0.996), Some(0.992)),
+    (
+        Topic::Blm,
+        Some(0.329),
+        Some(0.307),
+        Some(0.976),
+        Some(0.983),
+    ),
+    (
+        Topic::Brexit,
+        Some(0.381),
+        Some(0.339),
+        Some(0.999),
+        Some(0.999),
+    ),
+    (
+        Topic::Capitol,
+        Some(0.648),
+        Some(0.625),
+        Some(0.998),
+        Some(0.994),
+    ),
+    (
+        Topic::Grammys,
+        Some(0.728),
+        Some(0.737),
+        Some(0.996),
+        Some(0.992),
+    ),
     (Topic::Higgs, Some(0.974), None, Some(0.998), None),
-    (Topic::WorldCup, Some(0.470), Some(0.532), Some(0.999), Some(0.999)),
+    (
+        Topic::WorldCup,
+        Some(0.470),
+        Some(0.532),
+        Some(0.999),
+        Some(0.999),
+    ),
 ];
 
 /// Table 6 (OLS + HC1): (predictor, beta, stars).

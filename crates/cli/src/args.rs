@@ -50,9 +50,9 @@ impl Args {
                     args.flags.push(name.to_string());
                     continue;
                 }
-                let value = iter.next().ok_or_else(|| {
-                    ArgError(format!("option --{name} expects a value"))
-                })?;
+                let value = iter
+                    .next()
+                    .ok_or_else(|| ArgError(format!("option --{name} expects a value")))?;
                 args.options
                     .entry(name.to_string())
                     .or_default()
@@ -117,7 +117,15 @@ mod tests {
     #[test]
     fn parses_positionals_options_and_flags() {
         let args = parse(
-            &["collect", "--topics", "blm,higgs", "--snapshots", "4", "--paper", "out.json"],
+            &[
+                "collect",
+                "--topics",
+                "blm,higgs",
+                "--snapshots",
+                "4",
+                "--paper",
+                "out.json",
+            ],
             &["paper"],
         );
         assert_eq!(args.positional(0), Some("collect"));

@@ -312,10 +312,7 @@ fn drive(
 /// (`--paper` / `--snapshots` / `--interval-days` / `--no-*`). Used by
 /// both `collect` and `coordinate` so a distributed run describes
 /// exactly the plan a local one would.
-pub(crate) fn plan_config(
-    args: &Args,
-    topics: Vec<Topic>,
-) -> Result<CollectorConfig, ArgError> {
+pub(crate) fn plan_config(args: &Args, topics: Vec<Topic>) -> Result<CollectorConfig, ArgError> {
     let schedule = if args.flag("paper") {
         Schedule::paper()
     } else {
@@ -373,9 +370,7 @@ pub(crate) fn build_backend(args: &Args, key: &str, tag: &str) -> Result<Backend
                     .parse()
                     .map_err(|_| ArgError(format!("invalid --seed {seed:?}")))?;
             }
-            eprintln!(
-                "[{tag}] generating in-process corpus (scale {scale}, platform {platform})…"
-            );
+            eprintln!("[{tag}] generating in-process corpus (scale {scale}, platform {platform})…");
             let corpus = Arc::new(Platform::new(Corpus::generate(corpus_config)));
             match platform {
                 PlatformKind::Youtube => {
@@ -384,8 +379,7 @@ pub(crate) fn build_backend(args: &Args, key: &str, tag: &str) -> Result<Backend
                     Backend::InProcess(service)
                 }
                 PlatformKind::Tiktok => {
-                    let service =
-                        Arc::new(TikTokService::new(corpus, SimClock::at_audit_start()));
+                    let service = Arc::new(TikTokService::new(corpus, SimClock::at_audit_start()));
                     service.ledger().register(key, RESEARCH_DAILY_REQUESTS);
                     Backend::Tiktok(service)
                 }

@@ -26,7 +26,11 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         // 24 h × 28 d × 6 topics searches per snapshot, 16 snapshots;
         // ID calls: ~14 Videos.list pages × 6 topics × 16 + channels +
         // comments ≈ 1 500 per snapshot-equivalent.
-        (4_032u64 * 16, 24_000u64, "the paper's full 16-snapshot collection")
+        (
+            4_032u64 * 16,
+            24_000u64,
+            "the paper's full 16-snapshot collection",
+        )
     } else {
         let searches: u64 = args
             .get("searches")
@@ -38,7 +42,10 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     };
     let units = price(searches, id_calls);
     println!("plan: {label}");
-    println!("  search calls : {searches:>10}  × 100 units = {:>10}", searches * 100);
+    println!(
+        "  search calls : {searches:>10}  × 100 units = {:>10}",
+        searches * 100
+    );
     println!("  id calls     : {id_calls:>10}  ×   1 unit  = {id_calls:>10}");
     println!("  total        : {units:>10} units");
     println!();

@@ -62,8 +62,8 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 /// Read-only, so it is safe beside a live collector: a torn tail is
 /// reported, not truncated.
 fn info(spath: &str, path: &Path) -> Result<(), ArgError> {
-    let s = Store::inspect(path)
-        .map_err(|e| ArgError(format!("cannot read store {spath}: {e}")))?;
+    let s =
+        Store::inspect(path).map_err(|e| ArgError(format!("cannot read store {spath}: {e}")))?;
     println!("store {spath}");
     println!(
         "  size:      {} bytes, {} segments, {} records",
@@ -96,8 +96,8 @@ fn info(spath: &str, path: &Path) -> Result<(), ArgError> {
 }
 
 fn verify(spath: &str, path: &Path) -> Result<(), ArgError> {
-    let report = Store::verify_path(path)
-        .map_err(|e| ArgError(format!("cannot verify {spath}: {e}")))?;
+    let report =
+        Store::verify_path(path).map_err(|e| ArgError(format!("cannot verify {spath}: {e}")))?;
     println!(
         "verified {spath}: {} records in {} bytes, {} blobs, {} commits{}",
         report.records,
@@ -124,8 +124,8 @@ fn verify(spath: &str, path: &Path) -> Result<(), ArgError> {
 }
 
 fn compact(spath: &str, path: &Path, out: Option<&str>) -> Result<(), ArgError> {
-    let store = Store::open(path)
-        .map_err(|e| ArgError(format!("cannot open store {spath}: {e}")))?;
+    let store =
+        Store::open(path).map_err(|e| ArgError(format!("cannot open store {spath}: {e}")))?;
     let before = store.stats().log_len;
     match out {
         Some(dest) => {
@@ -225,12 +225,15 @@ fn merge(spath: &str, dest: &Path, explicit: &[String]) -> Result<(), ArgError> 
         paths.dedup();
         paths
     };
-    eprintln!("[store] merging {} shard stores into {spath}…", shard_paths.len());
+    eprintln!(
+        "[store] merging {} shard stores into {spath}…",
+        shard_paths.len()
+    );
     for p in &shard_paths {
         eprintln!("[store]   {}", p.display());
     }
-    let report = merge_shards(dest, &shard_paths)
-        .map_err(|e| ArgError(format!("merge failed: {e}")))?;
+    let report =
+        merge_shards(dest, &shard_paths).map_err(|e| ArgError(format!("merge failed: {e}")))?;
     println!(
         "merged {} shard stores into {spath}: {}/{} pairs ({} re-committed this run{}), \
          {} bytes",

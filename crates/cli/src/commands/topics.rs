@@ -28,7 +28,13 @@ pub fn run(_args: &Args) -> Result<(), ArgError> {
     print!(
         "{}",
         tables::render(
-            &["key", "query", "focal date", "pool", "subtopics (AND terms)"],
+            &[
+                "key",
+                "query",
+                "focal date",
+                "pool",
+                "subtopics (AND terms)"
+            ],
             &rows
         )
     );

@@ -12,7 +12,9 @@ use ytaudit_api::resources::{
     PlaylistItemResource, SearchListResponse, SearchResult, VideoListResponse, VideoResource,
 };
 use ytaudit_net::resilience::RetryPolicy;
-use ytaudit_types::{ApiErrorReason, ChannelId, CommentId, Error, PlaylistId, Result, Timestamp, VideoId};
+use ytaudit_types::{
+    ApiErrorReason, ChannelId, CommentId, Error, PlaylistId, Result, Timestamp, VideoId,
+};
 
 /// The outcome of a fully-paginated search: what the paper's harness
 /// stores per (query, collection).
@@ -95,9 +97,7 @@ impl YouTubeClient {
                     .and_then(|e| ApiErrorReason::from_str_opt(&e.reason))
                     .unwrap_or(ApiErrorReason::BackendError);
                 Err(match envelope.error.retry_after_secs {
-                    Some(secs) => {
-                        Error::api_with_retry_after(reason, envelope.error.message, secs)
-                    }
+                    Some(secs) => Error::api_with_retry_after(reason, envelope.error.message, secs),
                     None => Error::api(reason, envelope.error.message),
                 })
             }
@@ -122,7 +122,11 @@ impl YouTubeClient {
     /// policy's backoff schedule exactly as a lone call would. One quota
     /// record per logical call, never per attempt, and a fatal error
     /// stops the batch before later chunks are recorded.
-    fn call_many(&self, endpoint: Endpoint, param_sets: &[Vec<(String, String)>]) -> Result<Vec<String>> {
+    fn call_many(
+        &self,
+        endpoint: Endpoint,
+        param_sets: &[Vec<(String, String)>],
+    ) -> Result<Vec<String>> {
         let chunk_size = self.transport.preferred_batch().max(1);
         let mut out = Vec::with_capacity(param_sets.len());
         for chunk in param_sets.chunks(chunk_size) {
@@ -130,7 +134,9 @@ impl YouTubeClient {
                 self.budget.record(endpoint, endpoint.cost());
             }
             let now = self.sim_time();
-            let first = self.transport.execute_many(endpoint, chunk, &self.api_key, now);
+            let first = self
+                .transport
+                .execute_many(endpoint, chunk, &self.api_key, now);
             for (params, batched) in chunk.iter().zip(first) {
                 let mut batched = Some(batched);
                 out.push(self.retry.run(
@@ -389,7 +395,11 @@ mod tests {
     use ytaudit_platform::{Platform, SimClock};
     use ytaudit_types::Topic;
 
-    fn client_with(scale: f64, faults: Option<FaultConfig>, quota: u64) -> (YouTubeClient, Arc<ApiService>) {
+    fn client_with(
+        scale: f64,
+        faults: Option<FaultConfig>,
+        quota: u64,
+    ) -> (YouTubeClient, Arc<ApiService>) {
         let platform = Arc::new(Platform::small(scale));
         let mut service = ApiService::new(platform, SimClock::at_audit_start());
         if let Some(f) = faults {
@@ -425,10 +435,14 @@ mod tests {
 
     #[test]
     fn videos_are_chunked_by_50() {
-        let (client, svc) = client_with(0.3, Some(FaultConfig {
-            metadata_miss_rate: 0.0,
-            backend_error_rate: 0.0,
-        }), 100_000_000);
+        let (client, svc) = client_with(
+            0.3,
+            Some(FaultConfig {
+                metadata_miss_rate: 0.0,
+                backend_error_rate: 0.0,
+            }),
+            100_000_000,
+        );
         let ids: Vec<VideoId> = svc.platform().corpus().topics[0]
             .videos
             .iter()
@@ -478,10 +492,14 @@ mod tests {
 
     #[test]
     fn channel_uploads_pipeline_is_complete() {
-        let (client, svc) = client_with(0.3, Some(FaultConfig {
-            metadata_miss_rate: 0.0,
-            backend_error_rate: 0.0,
-        }), 100_000_000);
+        let (client, svc) = client_with(
+            0.3,
+            Some(FaultConfig {
+                metadata_miss_rate: 0.0,
+                backend_error_rate: 0.0,
+            }),
+            100_000_000,
+        );
         client.set_sim_time(Some(Timestamp::from_ymd(2025, 2, 9).unwrap()));
         // Channel with most uploads.
         let platform = svc.platform();
@@ -491,14 +509,20 @@ mod tests {
             .iter()
             .max_by_key(|c| {
                 platform
-                    .playlist_items(&c.id.uploads_playlist(), Timestamp::from_ymd(2025, 2, 9).unwrap())
+                    .playlist_items(
+                        &c.id.uploads_playlist(),
+                        Timestamp::from_ymd(2025, 2, 9).unwrap(),
+                    )
                     .map(|v| v.len())
                     .unwrap_or(0)
             })
             .unwrap();
         let uploads = client.channel_uploads(&channel.id).unwrap();
         let oracle = platform
-            .playlist_items(&channel.id.uploads_playlist(), Timestamp::from_ymd(2025, 2, 9).unwrap())
+            .playlist_items(
+                &channel.id.uploads_playlist(),
+                Timestamp::from_ymd(2025, 2, 9).unwrap(),
+            )
             .unwrap();
         assert_eq!(uploads.len(), oracle.len());
         assert!(!uploads.is_empty());
@@ -510,7 +534,9 @@ mod tests {
             );
         }
         // Missing channel errors cleanly.
-        let err = client.channel_uploads(&ChannelId::new("UCmissing")).unwrap_err();
+        let err = client
+            .channel_uploads(&ChannelId::new("UCmissing"))
+            .unwrap_err();
         assert_eq!(err.api_reason(), Some(ApiErrorReason::NotFound));
     }
 
@@ -649,10 +675,14 @@ mod tests {
 
     #[test]
     fn comment_threads_and_replies() {
-        let (client, svc) = client_with(0.2, Some(FaultConfig {
-            metadata_miss_rate: 0.0,
-            backend_error_rate: 0.0,
-        }), 100_000_000);
+        let (client, svc) = client_with(
+            0.2,
+            Some(FaultConfig {
+                metadata_miss_rate: 0.0,
+                backend_error_rate: 0.0,
+            }),
+            100_000_000,
+        );
         let now = Timestamp::from_ymd(2025, 2, 9).unwrap();
         client.set_sim_time(Some(now));
         let platform = svc.platform();

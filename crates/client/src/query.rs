@@ -56,8 +56,7 @@ impl SearchQuery {
     /// The paper's exact query for one topic: its `q` string and its
     /// focal-date ± 14-day window.
     pub fn for_topic(topic: Topic) -> SearchQuery {
-        SearchQuery::keywords(topic.spec().query)
-            .between(topic.window_start(), topic.window_end())
+        SearchQuery::keywords(topic.spec().query).between(topic.window_start(), topic.window_end())
     }
 
     /// A channel-scoped search (the strategy §6.1 warns about).

@@ -221,7 +221,9 @@ impl Transport for HttpTransport {
                 Ok(()) => match responses.next() {
                     Some(Ok(response)) => decode_response(response),
                     Some(Err(err)) => Err(Error::Io(err.to_string())),
-                    None => Err(Error::Io("pipelined batch returned too few responses".into())),
+                    None => Err(Error::Io(
+                        "pipelined batch returned too few responses".into(),
+                    )),
                 },
                 Err(err) => Err(err),
             })
@@ -316,7 +318,13 @@ mod tests {
         let sequential = HttpTransport::new(server.base_url());
         let pipelined = HttpTransport::new(server.base_url()).with_max_in_flight(4);
 
-        let queries = ["higgs boson", "black lives matter", "brexit", "measles", "net neutrality"];
+        let queries = [
+            "higgs boson",
+            "black lives matter",
+            "brexit",
+            "measles",
+            "net neutrality",
+        ];
         let param_sets: Vec<Vec<(String, String)>> = queries
             .iter()
             .map(|q| {
@@ -334,7 +342,9 @@ mod tests {
         assert_eq!(batched.len(), param_sets.len());
         for (params, result) in param_sets.iter().zip(batched) {
             let (status, body) = result.unwrap();
-            let (ref_status, ref_body) = sequential.execute(Endpoint::Search, params, "k", now).unwrap();
+            let (ref_status, ref_body) = sequential
+                .execute(Endpoint::Search, params, "k", now)
+                .unwrap();
             assert_eq!(status, ref_status);
             assert_eq!(body, ref_body, "pipelined body diverged for {params:?}");
         }

@@ -46,10 +46,7 @@ pub struct AblationOutcome {
 }
 
 /// Builds an in-process client over a platform with the given sampler.
-pub fn client_with_sampler(
-    scale: f64,
-    sampler: SamplerConfig,
-) -> (YouTubeClient, Arc<ApiService>) {
+pub fn client_with_sampler(scale: f64, sampler: SamplerConfig) -> (YouTubeClient, Arc<ApiService>) {
     let platform = Platform::with_sampler(
         Corpus::generate(CorpusConfig {
             scale,
@@ -58,12 +55,10 @@ pub fn client_with_sampler(
         sampler,
     );
     let service = Arc::new(
-        ApiService::new(Arc::new(platform), SimClock::at_audit_start()).with_faults(
-            FaultConfig {
-                metadata_miss_rate: 0.0,
-                backend_error_rate: 0.0,
-            },
-        ),
+        ApiService::new(Arc::new(platform), SimClock::at_audit_start()).with_faults(FaultConfig {
+            metadata_miss_rate: 0.0,
+            backend_error_rate: 0.0,
+        }),
     );
     service.quota().register("ablate", u64::MAX / 2);
     let client = YouTubeClient::new(
@@ -143,7 +138,10 @@ pub fn standard_variants() -> Vec<(&'static str, SamplerConfig)> {
         ("frozen", SamplerConfig::default().frozen()),
         ("memoryless", SamplerConfig::default().memoryless()),
         ("no-gating", SamplerConfig::default().without_gating()),
-        ("no-propensity", SamplerConfig::default().without_propensity()),
+        (
+            "no-propensity",
+            SamplerConfig::default().without_propensity(),
+        ),
     ]
 }
 
@@ -186,8 +184,13 @@ mod tests {
     #[test]
     fn disabling_gating_opens_quiet_hours() {
         let default = run_variant("default", SamplerConfig::default(), 0.5, 3).unwrap();
-        let ungated =
-            run_variant("no-gating", SamplerConfig::default().without_gating(), 0.5, 3).unwrap();
+        let ungated = run_variant(
+            "no-gating",
+            SamplerConfig::default().without_gating(),
+            0.5,
+            3,
+        )
+        .unwrap();
         assert_eq!(
             default.gated_hour_returns, 0,
             "gating must suppress low-density hours entirely"

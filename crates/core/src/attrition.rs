@@ -138,8 +138,16 @@ mod tests {
         }
         // The paper's signature: presence and absence both persist, and
         // more strongly when the two previous states agree.
-        assert!(fig3.p_stay_present() > 0.6, "P(P|PP) = {}", fig3.p_stay_present());
-        assert!(fig3.p_stay_absent() > 0.6, "P(A|AA) = {}", fig3.p_stay_absent());
+        assert!(
+            fig3.p_stay_present() > 0.6,
+            "P(P|PP) = {}",
+            fig3.p_stay_present()
+        );
+        assert!(
+            fig3.p_stay_absent() > 0.6,
+            "P(A|AA) = {}",
+            fig3.p_stay_absent()
+        );
         // First-order dominance (robust even at small snapshot counts):
         // presence in the immediately previous snapshot predicts presence
         // next, regardless of the older state.

@@ -215,7 +215,11 @@ mod tests {
     /// One topic's Figure-1 series from the dataset's report.
     fn topic_consistency(dataset: &AuditDataset, topic: Topic) -> TopicConsistency {
         let report = Analyzer::analyze_dataset(dataset);
-        report.figure1.into_iter().find(|tc| tc.topic == topic).unwrap()
+        report
+            .figure1
+            .into_iter()
+            .find(|tc| tc.topic == topic)
+            .unwrap()
     }
 
     #[test]
@@ -269,8 +273,10 @@ mod tests {
             acc.fold(dataset.id_set(Topic::Blm, i));
         }
         let bytes = wire::encode(|w| acc.encode_state(w));
-        let restored =
-            wire::decode(&bytes, |r| ConsistencyAccumulator::decode_state(Topic::Blm, r)).unwrap();
+        let restored = wire::decode(&bytes, |r| {
+            ConsistencyAccumulator::decode_state(Topic::Blm, r)
+        })
+        .unwrap();
         assert_eq!(restored.figure1_topic(), acc.figure1_topic());
         assert_eq!(restored.table1_row(), acc.table1_row());
         // Folding after restore matches folding straight through.

@@ -237,9 +237,7 @@ impl AuditDataset {
     /// Presence matrix for `topic`: for every video ever seen, a boolean
     /// per snapshot (the attrition analysis input).
     pub fn presence_sequences(&self, topic: Topic) -> Vec<(VideoId, Vec<bool>)> {
-        let sets: Vec<HashSet<VideoId>> = (0..self.len())
-            .map(|i| self.id_set(topic, i))
-            .collect();
+        let sets: Vec<HashSet<VideoId>> = (0..self.len()).map(|i| self.id_set(topic, i)).collect();
         let mut all: Vec<VideoId> = sets
             .iter()
             .flat_map(|s| s.iter().cloned())

@@ -158,9 +158,8 @@ impl Figure4Accumulator {
     /// Rebuilds accumulator state from a checkpoint.
     pub fn decode_state(topic: Topic, r: &mut Reader<'_>) -> wire::Result<Figure4Accumulator> {
         let folds = r.u64()? as usize;
-        let mut slot = || {
-            r.option(|r| Ok((Arc::new(decode_id_set(r)?), Arc::new(decode_id_set(r)?))))
-        };
+        let mut slot =
+            || r.option(|r| Ok((Arc::new(decode_id_set(r)?), Arc::new(decode_id_set(r)?))));
         let (first, prev) = (slot()?, slot()?);
         let mut series = || {
             r.list(|r| {
@@ -199,7 +198,11 @@ mod tests {
         };
         let dataset = Collector::new(&client, config).run().unwrap();
         let report = Analyzer::analyze_dataset(&dataset);
-        let fig = report.figure4.iter().find(|ft| ft.topic == Topic::Grammys).unwrap();
+        let fig = report
+            .figure4
+            .iter()
+            .find(|ft| ft.topic == Topic::Grammys)
+            .unwrap();
         assert_eq!(fig.vs_previous.len(), 3);
         assert_eq!(fig.vs_first.len(), 3);
         for point in fig.vs_previous.iter().chain(&fig.vs_first) {
@@ -220,8 +223,16 @@ mod tests {
         };
         let dataset = Collector::new(&client, config).run().unwrap();
         let report = Analyzer::analyze_dataset(&dataset);
-        let fig = report.figure4.iter().find(|ft| ft.topic == Topic::Blm).unwrap();
-        let consistency = report.figure1.iter().find(|tc| tc.topic == Topic::Blm).unwrap();
+        let fig = report
+            .figure4
+            .iter()
+            .find(|ft| ft.topic == Topic::Blm)
+            .unwrap();
+        let consistency = report
+            .figure1
+            .iter()
+            .find(|tc| tc.topic == Topic::Blm)
+            .unwrap();
         // Common-video metadata similarity stays far above the raw search
         // similarity for the churniest topic.
         let min_meta_j = fig

@@ -109,11 +109,7 @@ mod tests {
         let (client, _service) = client_with_sampler(0.25, sampler);
         let config = CollectorConfig {
             topics: vec![Topic::Capitol],
-            schedule: Schedule::every(
-                Timestamp::from_ymd(2025, 2, 9).unwrap(),
-                5,
-                snapshots,
-            ),
+            schedule: Schedule::every(Timestamp::from_ymd(2025, 2, 9).unwrap(), 5, snapshots),
             hourly_bins: true,
             fetch_metadata: false,
             fetch_channels: false,
@@ -127,10 +123,7 @@ mod tests {
     #[test]
     fn planted_seasonality_is_detected() {
         // Period 20 days, collected every 5 days ⇒ dominant lag 4.
-        let dataset = sparse_collection(
-            SamplerConfig::default().with_seasonality(20.0, 0.22),
-            24,
-        );
+        let dataset = sparse_collection(SamplerConfig::default().with_seasonality(20.0, 0.22), 24);
         let report = analyze(&dataset, Topic::Capitol, Some(6)).unwrap();
         assert_eq!(report.dominant_lag, 4, "{report:?}");
         assert!(report.significant, "{report:?}");

@@ -132,10 +132,7 @@ impl Table2Accumulator {
         let mean = cells.iter().sum::<f64>() / cells.len().max(1) as f64;
         let min = cells.iter().cloned().fold(f64::INFINITY, f64::min).max(0.0) as usize;
         let max = cells.iter().cloned().fold(0.0, f64::max) as usize;
-        let var = cells
-            .iter()
-            .map(|c| (c - mean) * (c - mean))
-            .sum::<f64>()
+        let var = cells.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>()
             / (cells.len().saturating_sub(1)).max(1) as f64;
 
         // Correlation: per-hour J(first, last) vs per-hour mean count,
@@ -339,7 +336,12 @@ mod tests {
         for row in Analyzer::analyze_dataset(&dataset).table2 {
             assert!(row.max < 50, "{}: max {}", row.topic, row.max);
             assert_eq!(row.min, 0, "{}", row.topic);
-            assert!(row.mean > 0.0 && row.mean < 5.0, "{}: mean {}", row.topic, row.mean);
+            assert!(
+                row.mean > 0.0 && row.mean < 5.0,
+                "{}: mean {}",
+                row.topic,
+                row.mean
+            );
             assert!(row.n_hours > 10, "{}: N {}", row.topic, row.n_hours);
             assert!(row.n_hours <= 672);
             if row.rho.is_finite() {
@@ -352,7 +354,11 @@ mod tests {
     fn mean_is_total_over_all_hours() {
         let dataset = quick_dataset();
         let report = Analyzer::analyze_dataset(&dataset);
-        let row = report.table2.iter().find(|r| r.topic == Topic::Capitol).unwrap();
+        let row = report
+            .table2
+            .iter()
+            .find(|r| r.topic == Topic::Capitol)
+            .unwrap();
         let total: usize = (0..dataset.len())
             .map(|i| dataset.id_set(Topic::Capitol, i).len())
             .sum();
@@ -370,8 +376,12 @@ mod tests {
             let avg: Vec<f64> = ft.days.iter().map(|d| d.avg).collect();
             let first: Vec<f64> = ft.days.iter().map(|d| d.first as f64).collect();
             let last: Vec<f64> = ft.days.iter().map(|d| d.last as f64).collect();
-            let r1 = ytaudit_stats::rank::pearson(&avg, &first).unwrap().coefficient;
-            let r2 = ytaudit_stats::rank::pearson(&avg, &last).unwrap().coefficient;
+            let r1 = ytaudit_stats::rank::pearson(&avg, &first)
+                .unwrap()
+                .coefficient;
+            let r2 = ytaudit_stats::rank::pearson(&avg, &last)
+                .unwrap()
+                .coefficient;
             assert!(r1 > 0.9, "{}: avg-first r {r1}", ft.topic);
             assert!(r2 > 0.9, "{}: avg-last r {r2}", ft.topic);
         }
@@ -381,7 +391,11 @@ mod tests {
     fn capitol_peaks_at_its_focal_day() {
         let dataset = quick_dataset();
         let report = Analyzer::analyze_dataset(&dataset);
-        let ft = report.figure2.iter().find(|ft| ft.topic == Topic::Capitol).unwrap();
+        let ft = report
+            .figure2
+            .iter()
+            .find(|ft| ft.topic == Topic::Capitol)
+            .unwrap();
         let peak_day = ft
             .days
             .iter()

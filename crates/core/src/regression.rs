@@ -293,11 +293,8 @@ fn compress_categories(labels: &[u32]) -> (Vec<usize>, usize) {
     let mut distinct: Vec<u32> = labels.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let index: std::collections::HashMap<u32, usize> = distinct
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| (l, i))
-        .collect();
+    let index: std::collections::HashMap<u32, usize> =
+        distinct.iter().enumerate().map(|(i, &l)| (l, i)).collect();
     (labels.iter().map(|l| index[l]).collect(), distinct.len())
 }
 
@@ -357,7 +354,11 @@ mod tests {
         let mut acc = RegressionAccumulator::new();
         for snapshot in &dataset.snapshots {
             for topic in &dataset.topics {
-                let ids = snapshot.topics.get(topic).map(|ts| ts.id_set()).unwrap_or_default();
+                let ids = snapshot
+                    .topics
+                    .get(topic)
+                    .map(|ts| ts.id_set())
+                    .unwrap_or_default();
                 acc.fold(*topic, &ids, snapshot.date, Vec::new());
             }
         }
@@ -396,9 +397,16 @@ mod tests {
             .iter()
             .all(|&f| f >= 1 && f as usize <= data.n_snapshots));
         // The Higgs dummy survives and is set for some rows.
-        let higgs_col = data.names.iter().position(|n| n == "higgs (topic)").unwrap();
+        let higgs_col = data
+            .names
+            .iter()
+            .position(|n| n == "higgs (topic)")
+            .unwrap();
         assert!(data.x.iter().any(|r| r[higgs_col] == 1.0));
-        assert!(data.x.iter().all(|r| r[higgs_col] == 0.0 || r[higgs_col] == 1.0));
+        assert!(data
+            .x
+            .iter()
+            .all(|r| r[higgs_col] == 0.0 || r[higgs_col] == 1.0));
     }
 
     #[test]
@@ -411,9 +419,21 @@ mod tests {
         // The Higgs topic dummy is the paper's strongest effect: positive
         // and significant in every specification.
         for (name, coeff, p) in [
-            ("t3", t3.coefficient("higgs (topic)").unwrap(), t3.p_value("higgs (topic)").unwrap()),
-            ("t6", t6.coefficient("higgs (topic)").unwrap(), t6.p_value("higgs (topic)").unwrap()),
-            ("t7", t7.coefficient("higgs (topic)").unwrap(), t7.p_value("higgs (topic)").unwrap()),
+            (
+                "t3",
+                t3.coefficient("higgs (topic)").unwrap(),
+                t3.p_value("higgs (topic)").unwrap(),
+            ),
+            (
+                "t6",
+                t6.coefficient("higgs (topic)").unwrap(),
+                t6.p_value("higgs (topic)").unwrap(),
+            ),
+            (
+                "t7",
+                t7.coefficient("higgs (topic)").unwrap(),
+                t7.p_value("higgs (topic)").unwrap(),
+            ),
         ] {
             assert!(coeff > 0.0, "{name}: higgs coeff {coeff}");
             assert!(p < 0.05, "{name}: higgs p {p}");

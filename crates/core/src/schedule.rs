@@ -76,8 +76,14 @@ mod tests {
     fn paper_schedule_has_16_snapshots() {
         let schedule = Schedule::paper();
         assert_eq!(schedule.len(), 16);
-        assert_eq!(schedule.first().unwrap().to_rfc3339(), "2025-02-09T00:00:00Z");
-        assert_eq!(schedule.last().unwrap().to_rfc3339(), "2025-04-30T00:00:00Z");
+        assert_eq!(
+            schedule.first().unwrap().to_rfc3339(),
+            "2025-02-09T00:00:00Z"
+        );
+        assert_eq!(
+            schedule.last().unwrap().to_rfc3339(),
+            "2025-04-30T00:00:00Z"
+        );
         // April 5 is skipped.
         let skipped = Timestamp::from_ymd(2025, 4, 5).unwrap();
         assert!(!schedule.dates().contains(&skipped));

@@ -121,7 +121,10 @@ impl Analyzer {
     /// A fresh analyzer for a collection over `topics` (plan order).
     pub fn new(topics: Vec<Topic>) -> Analyzer {
         Analyzer {
-            consistency: topics.iter().map(|&t| ConsistencyAccumulator::new(t)).collect(),
+            consistency: topics
+                .iter()
+                .map(|&t| ConsistencyAccumulator::new(t))
+                .collect(),
             table2: topics.iter().map(|&t| Table2Accumulator::new(t)).collect(),
             figure2: topics.iter().map(|&t| Figure2Accumulator::new(t)).collect(),
             attrition: topics.iter().map(|_| AttritionAccumulator::new()).collect(),
@@ -292,16 +295,14 @@ impl Analyzer {
     /// Marks the collection finished: records the end-of-collection
     /// channel fetches and the final quota delta. Idempotent — a resumed
     /// follow replays the end record it already folded.
-    pub fn end(
-        &mut self,
-        channels: impl IntoIterator<Item = ChannelInfo>,
-        quota_delta: u64,
-    ) {
+    pub fn end(&mut self, channels: impl IntoIterator<Item = ChannelInfo>, quota_delta: u64) {
         if self.ended {
             return;
         }
         for channel in channels {
-            self.channel_meta.entry(channel.id.clone()).or_insert(channel);
+            self.channel_meta
+                .entry(channel.id.clone())
+                .or_insert(channel);
         }
         self.quota += quota_delta;
         self.ended = true;
@@ -384,7 +385,10 @@ impl Analyzer {
             }
         }
         analyzer.seed_video_meta(dataset.video_meta.values());
-        analyzer.end(dataset.channel_meta.values().cloned(), dataset.quota_units_spent);
+        analyzer.end(
+            dataset.channel_meta.values().cloned(),
+            dataset.quota_units_spent,
+        );
         analyzer.finish()
     }
 
@@ -506,8 +510,7 @@ mod tests {
 
     fn full_dataset() -> AuditDataset {
         let (client, _service) = test_client(0.3);
-        let mut config =
-            CollectorConfig::quick(vec![Topic::Blm, Topic::Higgs, Topic::WorldCup], 4);
+        let mut config = CollectorConfig::quick(vec![Topic::Blm, Topic::Higgs, Topic::WorldCup], 4);
         config.fetch_comments = true;
         Collector::new(&client, config).run().unwrap()
     }
@@ -533,13 +536,19 @@ mod tests {
         offers
     }
 
-    fn follow_style_report(dataset: &AuditDataset, offers: Vec<(u64, FoldInput)>) -> AnalysisReport {
+    fn follow_style_report(
+        dataset: &AuditDataset,
+        offers: Vec<(u64, FoldInput)>,
+    ) -> AnalysisReport {
         let mut analyzer = Analyzer::new(dataset.topics.clone());
         for (plan_idx, input) in offers {
             analyzer.offer(plan_idx, input).unwrap();
         }
         analyzer.seed_video_meta(dataset.video_meta.values());
-        analyzer.end(dataset.channel_meta.values().cloned(), dataset.quota_units_spent);
+        analyzer.end(
+            dataset.channel_meta.values().cloned(),
+            dataset.quota_units_spent,
+        );
         analyzer.finish()
     }
 
@@ -567,7 +576,10 @@ mod tests {
         }
         assert!(analyzer.peak_buffered() >= 4);
         analyzer.seed_video_meta(dataset.video_meta.values());
-        analyzer.end(dataset.channel_meta.values().cloned(), dataset.quota_units_spent);
+        analyzer.end(
+            dataset.channel_meta.values().cloned(),
+            dataset.quota_units_spent,
+        );
         assert_eq!(batch.to_json(), analyzer.finish().to_json());
     }
 
@@ -613,7 +625,10 @@ mod tests {
             resumed.offer(plan_idx, input).unwrap();
         }
         resumed.seed_video_meta(dataset.video_meta.values());
-        resumed.end(dataset.channel_meta.values().cloned(), dataset.quota_units_spent);
+        resumed.end(
+            dataset.channel_meta.values().cloned(),
+            dataset.quota_units_spent,
+        );
         let batch = Analyzer::analyze_dataset(&dataset);
         assert_eq!(batch.to_json(), resumed.finish().to_json());
     }

@@ -15,7 +15,10 @@ pub fn test_client(scale: f64) -> (YouTubeClient, Arc<ApiService>) {
 }
 
 /// Same, but with explicit fault injection.
-pub fn test_client_with_faults(scale: f64, faults: FaultConfig) -> (YouTubeClient, Arc<ApiService>) {
+pub fn test_client_with_faults(
+    scale: f64,
+    faults: FaultConfig,
+) -> (YouTubeClient, Arc<ApiService>) {
     client_for(Platform::small(scale), faults)
 }
 

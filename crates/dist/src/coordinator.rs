@@ -166,7 +166,10 @@ impl Coordinator {
         if dest.exists() {
             return Err(DistError::new(
                 DistErrorKind::BadRequest,
-                format!("{} already exists; merging would overwrite it", dest.display()),
+                format!(
+                    "{} already exists; merging would overwrite it",
+                    dest.display()
+                ),
             ));
         }
         let shards = shards.max(1);
@@ -302,8 +305,7 @@ impl Coordinator {
     /// complete shard, and returns what it holds.
     fn validate_installed(&self, path: &Path, range: usize) -> Result<InstalledTotals, DistError> {
         let expected = CollectionMeta::of_config(&self.range_config(range)?);
-        let store =
-            Store::open(path).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+        let store = Store::open(path).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
         let meta = store
             .collection_meta()
             .cloned()
@@ -511,7 +513,10 @@ impl Coordinator {
         self.sweep(&mut state);
         let range = req.range as usize;
         Coordinator::check_lease(&state, range, req.token)?;
-        let upload = state.uploads.get_mut(&range).filter(|u| u.token == req.token);
+        let upload = state
+            .uploads
+            .get_mut(&range)
+            .filter(|u| u.token == req.token);
         let Some(upload) = upload else {
             return Err(DistError::new(
                 DistErrorKind::ChunkOutOfOrder,
@@ -665,15 +670,36 @@ impl Coordinator {
         };
         let mut out = String::from("dist metrics\n");
         out.push_str(&format!("  leases outstanding   {outstanding}\n"));
-        out.push_str(&format!("  leases granted       {}\n", counters.leases_granted));
-        out.push_str(&format!("  leases expired       {}\n", counters.leases_expired));
-        out.push_str(&format!("  leases reissued      {}\n", counters.leases_reissued));
-        out.push_str(&format!("  shards received      {}\n", counters.shards_received));
-        out.push_str(&format!("  duplicate ships      {}\n", counters.duplicate_ships));
-        out.push_str(&format!("  bytes shipped        {}\n", counters.bytes_shipped));
+        out.push_str(&format!(
+            "  leases granted       {}\n",
+            counters.leases_granted
+        ));
+        out.push_str(&format!(
+            "  leases expired       {}\n",
+            counters.leases_expired
+        ));
+        out.push_str(&format!(
+            "  leases reissued      {}\n",
+            counters.leases_reissued
+        ));
+        out.push_str(&format!(
+            "  shards received      {}\n",
+            counters.shards_received
+        ));
+        out.push_str(&format!(
+            "  duplicate ships      {}\n",
+            counters.duplicate_ships
+        ));
+        out.push_str(&format!(
+            "  bytes shipped        {}\n",
+            counters.bytes_shipped
+        ));
         let installed = self.installed_totals();
         out.push_str(&format!("  pairs committed      {}\n", installed.pairs));
-        out.push_str(&format!("  quota units          {}\n", installed.quota_units));
+        out.push_str(&format!(
+            "  quota units          {}\n",
+            installed.quota_units
+        ));
         out
     }
 }

@@ -190,7 +190,9 @@ impl DistPlan {
     /// body (nested, because Begin finds its optional tails by the bytes
     /// that remain), then the range count.
     fn encode_into(&self, w: &mut Writer) {
-        w.put_bytes(&wire::encode(|w| CollectionMeta::of_config(&self.parent).put(w)));
+        w.put_bytes(&wire::encode(|w| {
+            CollectionMeta::of_config(&self.parent).put(w)
+        }));
         w.put_u32(self.ranges);
     }
 

@@ -117,7 +117,11 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// A worker config with production defaults.
-    pub fn new(name: impl Into<String>, workdir: impl Into<PathBuf>, sched: SchedulerConfig) -> WorkerConfig {
+    pub fn new(
+        name: impl Into<String>,
+        workdir: impl Into<PathBuf>,
+        sched: SchedulerConfig,
+    ) -> WorkerConfig {
         WorkerConfig {
             name: name.into(),
             workdir: workdir.into(),
@@ -210,7 +214,9 @@ fn execute_and_ship(
     grant: &LeaseGrant,
 ) -> Result<ShipOutcome, DistError> {
     let path = cfg.workdir.join(format!("range-{}.yts", grant.range));
-    with_heartbeat(chan, cfg, grant, || execute_range(factory, cfg, grant, &path))??;
+    with_heartbeat(chan, cfg, grant, || {
+        execute_range(factory, cfg, grant, &path)
+    })??;
     if faultpoint::should_trip("dist.pre-ship") {
         return Err(DistError::new(
             DistErrorKind::Internal,
@@ -293,7 +299,8 @@ fn execute_range(
     grant: &LeaseGrant,
     path: &std::path::Path,
 ) -> Result<(), DistError> {
-    let internal = |e: &dyn std::fmt::Display| DistError::new(DistErrorKind::Internal, e.to_string());
+    let internal =
+        |e: &dyn std::fmt::Display| DistError::new(DistErrorKind::Internal, e.to_string());
     let count = grant.plan.ranges as usize;
     let range = grant.range as usize;
     let mut store = Store::open_or_create(path).map_err(|e| internal(&e))?;
@@ -404,13 +411,9 @@ fn ship(
 
 /// One POST exchange; non-2xx responses become typed [`DistError`]s via
 /// the [`ERROR_HEADER`] key, socket failures come back as `Internal`.
-fn post_once(
-    chan: &dyn CoordinatorChannel,
-    path: &str,
-    body: &[u8],
-) -> Result<Vec<u8>, DistError> {
-    let req = Request::post(path, body.to_vec())
-        .with_header("content-type", "application/octet-stream");
+fn post_once(chan: &dyn CoordinatorChannel, path: &str, body: &[u8]) -> Result<Vec<u8>, DistError> {
+    let req =
+        Request::post(path, body.to_vec()).with_header("content-type", "application/octet-stream");
     let resp = chan
         .call(req)
         .map_err(|e| DistError::new(DistErrorKind::Internal, e.to_string()))?;

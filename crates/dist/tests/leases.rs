@@ -164,7 +164,9 @@ fn renewal_inside_ttl_extends_the_lease_and_expiry_fences_it() {
     // Now the worker goes quiet for a full ttl: the lease expires and
     // the next renewal loses the race.
     clock.advance(TTL);
-    let err = coord.renew(&renew).expect_err("expired lease must not renew");
+    let err = coord
+        .renew(&renew)
+        .expect_err("expired lease must not renew");
     assert_eq!(err.kind, DistErrorKind::LeaseExpired);
     assert_eq!(classify(err.kind), DistErrorClass::Abandon);
     assert_eq!(coord.counters().leases_expired, 1);

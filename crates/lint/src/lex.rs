@@ -218,7 +218,11 @@ pub fn lex(src: &str) -> Lexed {
             ch if ch.is_ascii_digit() => {
                 let (text, float) = lex_number(&mut cur);
                 out.tokens.push(Token {
-                    kind: if float { TokenKind::Float } else { TokenKind::Int },
+                    kind: if float {
+                        TokenKind::Float
+                    } else {
+                        TokenKind::Int
+                    },
                     text,
                     line,
                     col,
@@ -518,9 +522,18 @@ mod tests {
 
     #[test]
     fn strings_swallow_their_contents() {
-        assert_eq!(idents(r#"let s = "a.unwrap()"; done"#), vec!["let", "s", "done"]);
-        assert_eq!(idents(r##"let s = r#"panic!(x)"# ; done"##), vec!["let", "s", "done"]);
-        assert_eq!(idents(r#"let b = b"unwrap"; done"#), vec!["let", "b", "done"]);
+        assert_eq!(
+            idents(r#"let s = "a.unwrap()"; done"#),
+            vec!["let", "s", "done"]
+        );
+        assert_eq!(
+            idents(r##"let s = r#"panic!(x)"# ; done"##),
+            vec!["let", "s", "done"]
+        );
+        assert_eq!(
+            idents(r#"let b = b"unwrap"; done"#),
+            vec!["let", "b", "done"]
+        );
     }
 
     #[test]
@@ -531,7 +544,11 @@ mod tests {
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
             .count();
-        let chars = lexed.tokens.iter().filter(|t| t.kind == TokenKind::Str).count();
+        let chars = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Str)
+            .count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 2, "exactly the two char literals: {lexed:?}");
     }
@@ -565,7 +582,11 @@ mod tests {
     #[test]
     fn line_numbers_are_accurate() {
         let lexed = lex("one\ntwo three\n\nfour");
-        let lines: Vec<_> = lexed.tokens.iter().map(|t| (t.text.clone(), t.line)).collect();
+        let lines: Vec<_> = lexed
+            .tokens
+            .iter()
+            .map(|t| (t.text.clone(), t.line))
+            .collect();
         assert_eq!(
             lines,
             vec![
@@ -580,7 +601,10 @@ mod tests {
     #[test]
     fn range_after_int_is_not_a_float() {
         let lexed = lex("for i in 0..n {}");
-        assert!(lexed.tokens.iter().any(|t| t.kind == TokenKind::Int && t.text == "0"));
+        assert!(lexed
+            .tokens
+            .iter()
+            .any(|t| t.kind == TokenKind::Int && t.text == "0"));
         assert!(!lexed.tokens.iter().any(|t| t.kind == TokenKind::Float));
     }
 

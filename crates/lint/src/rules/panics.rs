@@ -79,7 +79,9 @@ impl Rule for Panics {
                 // `panic!(` and friends.
                 if t.kind == TokenKind::Ident
                     && PANIC_MACROS.contains(&t.text.as_str())
-                    && toks.get(i + 1).is_some_and(|p| p.kind == TokenKind::Punct && p.text == "!")
+                    && toks
+                        .get(i + 1)
+                        .is_some_and(|p| p.kind == TokenKind::Punct && p.text == "!")
                     && toks
                         .get(i + 2)
                         .is_some_and(|p| matches!(p.text.as_str(), "(" | "[" | "{"))

@@ -52,9 +52,8 @@ impl Rule for QuotaConsistency {
                 if let Some((start, end)) = fn_body_span(canonical, "cost") {
                     let toks = &canonical.tokens;
                     for (variant, line) in &variants {
-                        let mentioned = (start..end).any(|i| {
-                            toks[i].kind == TokenKind::Ident && toks[i].text == *variant
-                        });
+                        let mentioned = (start..end)
+                            .any(|i| toks[i].kind == TokenKind::Ident && toks[i].text == *variant);
                         if !mentioned {
                             out.push(
                                 Diagnostic::new(
@@ -62,9 +61,7 @@ impl Rule for QuotaConsistency {
                                     &canonical.path,
                                     *line,
                                     1,
-                                    format!(
-                                        "`Endpoint::{variant}` has no explicit arm in cost()"
-                                    ),
+                                    format!("`Endpoint::{variant}` has no explicit arm in cost()"),
                                 )
                                 .with_help("price every endpoint explicitly"),
                             );
@@ -118,8 +115,10 @@ impl Rule for QuotaConsistency {
                 continue;
             };
             for (name, value, line) in int_consts(mirror) {
-                if let Some((canon_value, _)) =
-                    canon_consts.iter().find(|(n, _, _)| *n == name).map(|(_, v, l)| (*v, *l))
+                if let Some((canon_value, _)) = canon_consts
+                    .iter()
+                    .find(|(n, _, _)| *n == name)
+                    .map(|(_, v, l)| (*v, *l))
                 {
                     if canon_value != value {
                         out.push(

@@ -88,7 +88,10 @@ impl SourceFile {
     /// Whether the whole file is test-only (integration tests, benches,
     /// examples).
     pub fn is_test_target(&self) -> bool {
-        matches!(self.target, TargetKind::Test | TargetKind::Bench | TargetKind::Example)
+        matches!(
+            self.target,
+            TargetKind::Test | TargetKind::Bench | TargetKind::Example
+        )
     }
 
     /// Checks directives for a suppression of `rule` covering `line`,
@@ -161,11 +164,7 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
 /// If `tokens` starts with `#[cfg(test)]` or `#[test]`, returns the
 /// token length of that attribute.
 fn test_attribute_len(tokens: &[Token]) -> Option<usize> {
-    let texts: Vec<&str> = tokens
-        .iter()
-        .take(8)
-        .map(|t| t.text.as_str())
-        .collect();
+    let texts: Vec<&str> = tokens.iter().take(8).map(|t| t.text.as_str()).collect();
     match texts.as_slice() {
         ["#", "[", "cfg", "(", "test", ")", "]", ..] => Some(7),
         ["#", "[", "test", "]", ..] => Some(4),
@@ -284,7 +283,8 @@ mod tests {
 
     #[test]
     fn cfg_test_module_span_covers_the_block() {
-        let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
+        let src =
+            "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() { x.unwrap(); }\n}\nfn c() {}\n";
         let f = file(src);
         assert!(!f.in_test_code(1));
         assert!(f.in_test_code(2));

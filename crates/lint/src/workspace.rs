@@ -160,8 +160,14 @@ mod tests {
         assert_eq!(classify("crates/net/src/url.rs").0, "net");
         assert_eq!(classify("crates/cli/src/main.rs").1, TargetKind::Bin);
         assert_eq!(classify("crates/bench/src/bin/repro.rs").1, TargetKind::Bin);
-        assert_eq!(classify("crates/types/tests/proptests.rs").1, TargetKind::Test);
-        assert_eq!(classify("crates/bench/benches/sched.rs").1, TargetKind::Bench);
+        assert_eq!(
+            classify("crates/types/tests/proptests.rs").1,
+            TargetKind::Test
+        );
+        assert_eq!(
+            classify("crates/bench/benches/sched.rs").1,
+            TargetKind::Bench
+        );
         assert_eq!(classify("examples/quickstart.rs").1, TargetKind::Example);
         assert_eq!(classify("src/lib.rs").1, TargetKind::Lib);
         assert_eq!(classify("src/lib.rs").0, "ytaudit");
@@ -185,6 +191,9 @@ mod tests {
         ]);
         assert_eq!(ws.files.len(), 2);
         assert!(ws.file("crates/x/src/lib.rs").is_some());
-        assert_eq!(ws.file("crates/x/tests/t.rs").map(|f| f.target), Some(TargetKind::Test));
+        assert_eq!(
+            ws.file("crates/x/tests/t.rs").map(|f| f.target),
+            Some(TargetKind::Test)
+        );
     }
 }

@@ -585,9 +585,8 @@ mod tests {
         let url = crate::url::Url::parse(&server.base_url()).unwrap();
         let requests: Vec<Request> = (0..10)
             .map(|i| {
-                Request::get("/echo").with_query(
-                    crate::url::QueryString::new().with("i", i.to_string()),
-                )
+                Request::get("/echo")
+                    .with_query(crate::url::QueryString::new().with("i", i.to_string()))
             })
             .collect();
         let results = client.send_pipelined(&url, &requests, 4);

@@ -120,7 +120,9 @@ impl<R: Read> MessageReader<R> {
                 .split_once(':')
                 .ok_or_else(|| NetError::Protocol(format!("malformed header line {line:?}")))?;
             if name.is_empty() || name.contains(' ') {
-                return Err(NetError::Protocol(format!("malformed header name {name:?}")));
+                return Err(NetError::Protocol(format!(
+                    "malformed header name {name:?}"
+                )));
             }
             headers.append(name, value.trim());
         }
@@ -137,9 +139,7 @@ impl<R: Read> MessageReader<R> {
         self.inner
             .read_exact(&mut body)
             .map_err(|e| match e.kind() {
-                std::io::ErrorKind::UnexpectedEof => {
-                    NetError::UnexpectedEof("EOF mid-body".into())
-                }
+                std::io::ErrorKind::UnexpectedEof => NetError::UnexpectedEof("EOF mid-body".into()),
                 _ => NetError::Io(e.to_string()),
             })?;
         Ok(body)
@@ -189,7 +189,9 @@ impl<R: Read> MessageReader<R> {
                 // Tolerated bare-LF chunk terminator: the second byte we
                 // consumed is actually part of the next size line. This is
                 // a strictness trade-off; our own writer always emits CRLF.
-                return Err(NetError::Protocol("bare LF after chunk not supported".into()));
+                return Err(NetError::Protocol(
+                    "bare LF after chunk not supported".into(),
+                ));
             }
         }
     }
@@ -216,7 +218,9 @@ impl<R: Read> MessageReader<R> {
                         return Ok(body);
                     }
                     if body.len() + n > limits.max_body_bytes {
-                        return Err(NetError::LimitExceeded("EOF-delimited body exceeds limit".into()));
+                        return Err(NetError::LimitExceeded(
+                            "EOF-delimited body exceeds limit".into(),
+                        ));
                     }
                     body.extend_from_slice(&chunk[..n]);
                 }
@@ -240,13 +244,19 @@ impl<R: Read> MessageReader<R> {
             .next()
             .ok_or_else(|| NetError::Protocol(format!("malformed request line {start:?}")))?;
         if parts.next().is_some() {
-            return Err(NetError::Protocol(format!("malformed request line {start:?}")));
+            return Err(NetError::Protocol(format!(
+                "malformed request line {start:?}"
+            )));
         }
         if version != "HTTP/1.1" && version != "HTTP/1.0" {
-            return Err(NetError::Protocol(format!("unsupported version {version:?}")));
+            return Err(NetError::Protocol(format!(
+                "unsupported version {version:?}"
+            )));
         }
         if !target.starts_with('/') {
-            return Err(NetError::Protocol(format!("unsupported request target {target:?}")));
+            return Err(NetError::Protocol(format!(
+                "unsupported request target {target:?}"
+            )));
         }
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p.to_string(), QueryString::parse(q)?),
@@ -272,7 +282,9 @@ impl<R: Read> MessageReader<R> {
         let mut parts = start.splitn(3, ' ');
         let version = parts.next().unwrap_or("");
         if !version.starts_with("HTTP/1.") {
-            return Err(NetError::Protocol(format!("malformed status line {start:?}")));
+            return Err(NetError::Protocol(format!(
+                "malformed status line {start:?}"
+            )));
         }
         let code: u16 = parts
             .next()
@@ -454,7 +466,9 @@ mod tests {
             raw.extend_from_slice(format!("h{i}: v\r\n").as_bytes());
         }
         raw.extend_from_slice(b"\r\n");
-        let err = reader(&raw).read_request(&FrameLimits::default()).unwrap_err();
+        let err = reader(&raw)
+            .read_request(&FrameLimits::default())
+            .unwrap_err();
         assert!(matches!(err, NetError::LimitExceeded(_)));
     }
 
@@ -474,7 +488,9 @@ mod tests {
         let mut raw = b"GET /".to_vec();
         raw.extend(std::iter::repeat_n(b'a', 100_000));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        let err = reader(&raw).read_request(&FrameLimits::default()).unwrap_err();
+        let err = reader(&raw)
+            .read_request(&FrameLimits::default())
+            .unwrap_err();
         assert!(matches!(err, NetError::LimitExceeded(_)));
     }
 

@@ -314,7 +314,8 @@ impl Response {
     /// A 200 response carrying a JSON body.
     pub fn json(status: StatusCode, body: impl Into<Vec<u8>>) -> Response {
         let mut resp = Response::new(status);
-        resp.headers.set("content-type", "application/json; charset=utf-8");
+        resp.headers
+            .set("content-type", "application/json; charset=utf-8");
         resp.body = body.into();
         resp
     }
@@ -322,7 +323,8 @@ impl Response {
     /// A plain-text response.
     pub fn text(status: StatusCode, body: impl Into<String>) -> Response {
         let mut resp = Response::new(status);
-        resp.headers.set("content-type", "text/plain; charset=utf-8");
+        resp.headers
+            .set("content-type", "text/plain; charset=utf-8");
         resp.body = body.into().into_bytes();
         resp
     }
@@ -346,7 +348,13 @@ mod tests {
 
     #[test]
     fn method_round_trip() {
-        for m in [Method::Get, Method::Post, Method::Put, Method::Delete, Method::Head] {
+        for m in [
+            Method::Get,
+            Method::Post,
+            Method::Put,
+            Method::Delete,
+            Method::Head,
+        ] {
             assert_eq!(Method::parse(m.as_str()).unwrap(), m);
         }
         assert!(Method::parse("get").is_err());
@@ -432,16 +440,26 @@ mod tests {
     #[test]
     fn request_target_includes_query() {
         let req = Request::get("/youtube/v3/search")
-            .with_query(QueryString::new().with("q", "us capitol").with("maxResults", "50"))
+            .with_query(
+                QueryString::new()
+                    .with("q", "us capitol")
+                    .with("maxResults", "50"),
+            )
             .with_header("x-api-key", "k");
-        assert_eq!(req.target(), "/youtube/v3/search?q=us+capitol&maxResults=50");
+        assert_eq!(
+            req.target(),
+            "/youtube/v3/search?q=us+capitol&maxResults=50"
+        );
         assert_eq!(Request::get("/healthz").target(), "/healthz");
     }
 
     #[test]
     fn response_builders() {
         let resp = Response::json(StatusCode::OK, br#"{"ok":true}"#.to_vec());
-        assert_eq!(resp.headers.get("content-type"), Some("application/json; charset=utf-8"));
+        assert_eq!(
+            resp.headers.get("content-type"),
+            Some("application/json; charset=utf-8")
+        );
         assert_eq!(resp.body_text().unwrap(), r#"{"ok":true}"#);
         let text = Response::text(StatusCode::NOT_FOUND, "nope");
         assert_eq!(text.status, StatusCode::NOT_FOUND);

@@ -165,8 +165,8 @@ impl BucketCore {
 
     fn refill(&mut self, now: f64) {
         if now > self.last_update {
-            self.tokens = (self.tokens + (now - self.last_update) * self.refill_per_sec)
-                .min(self.capacity);
+            self.tokens =
+                (self.tokens + (now - self.last_update) * self.refill_per_sec).min(self.capacity);
             self.last_update = now;
         }
     }
@@ -236,12 +236,11 @@ impl TokenBucket {
                 Ok(()) => return true,
                 Err(secs) => secs,
             };
-            if !wait.is_finite()
-                || self.clock.now() + Duration::from_secs_f64(wait) > deadline
-            {
+            if !wait.is_finite() || self.clock.now() + Duration::from_secs_f64(wait) > deadline {
                 return false;
             }
-            self.clock.sleep(Duration::from_secs_f64(wait.clamp(0.0005, 0.05)));
+            self.clock
+                .sleep(Duration::from_secs_f64(wait.clamp(0.0005, 0.05)));
         }
     }
 
@@ -380,7 +379,10 @@ mod tests {
         clock.advance(Duration::from_secs(1));
         assert!(bucket.try_acquire(1.0));
         clock.advance(Duration::from_secs(60));
-        assert!((bucket.available() - 2.0).abs() < 1e-9, "refill caps at capacity");
+        assert!(
+            (bucket.available() - 2.0).abs() < 1e-9,
+            "refill caps at capacity"
+        );
     }
 
     #[test]
@@ -391,7 +393,10 @@ mod tests {
         // `acquire` sleeps on the manual clock, which advances simulated
         // time instantly, so this "one-second wait" returns immediately.
         assert!(bucket.acquire(1.0, Duration::from_secs(5)));
-        assert!(clock.now() >= Duration::from_millis(900), "waited on the clock");
+        assert!(
+            clock.now() >= Duration::from_millis(900),
+            "waited on the clock"
+        );
     }
 
     #[test]

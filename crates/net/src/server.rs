@@ -425,7 +425,9 @@ mod tests {
         let mut reader = MessageReader::new(stream);
         for path in ["/a", "/b", "/c"] {
             write_request(&mut write, &Request::get(path), "h").unwrap();
-            let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+            let resp = reader
+                .read_response(&FrameLimits::default(), false)
+                .unwrap();
             assert!(resp.body_text().unwrap().contains(path));
             assert_eq!(resp.headers.get("connection"), Some("keep-alive"));
         }
@@ -437,7 +439,10 @@ mod tests {
     #[test]
     fn respects_connection_close() {
         let handle = echo_server();
-        let resp = raw_round_trip(&handle, &Request::get("/x").with_header("connection", "close"));
+        let resp = raw_round_trip(
+            &handle,
+            &Request::get("/x").with_header("connection", "close"),
+        );
         assert_eq!(resp.headers.get("connection"), Some("close"));
         handle.shutdown();
     }
@@ -448,7 +453,9 @@ mod tests {
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
         stream.write_all(b"NONSENSE REQUEST LINE\r\n\r\n").unwrap();
         let mut reader = MessageReader::new(stream);
-        let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+        let resp = reader
+            .read_response(&FrameLimits::default(), false)
+            .unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
         assert_eq!(handle.stats().protocol_errors.load(Ordering::Relaxed), 1);
         handle.shutdown();
@@ -463,7 +470,9 @@ mod tests {
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         stream.write_all(&raw).unwrap();
         let mut reader = MessageReader::new(stream);
-        let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+        let resp = reader
+            .read_response(&FrameLimits::default(), false)
+            .unwrap();
         assert_eq!(resp.status, StatusCode::PAYLOAD_TOO_LARGE);
         handle.shutdown();
     }
@@ -527,7 +536,9 @@ mod tests {
         let mut write = stream.try_clone().unwrap();
         let mut reader = MessageReader::new(stream);
         write_request(&mut write, &Request::get("/x"), "h").unwrap();
-        let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+        let resp = reader
+            .read_response(&FrameLimits::default(), false)
+            .unwrap();
         assert_eq!(resp.headers.get("connection"), Some("keep-alive"));
         // Now go silent. The server should close the connection after the
         // idle timeout — far sooner than the 30 s read timeout.
@@ -555,7 +566,9 @@ mod tests {
         let started = std::time::Instant::now();
         let mut reader = MessageReader::new(stream);
         // Never send anything; the server should hang up on us.
-        assert!(reader.read_response(&FrameLimits::default(), false).is_err());
+        assert!(reader
+            .read_response(&FrameLimits::default(), false)
+            .is_err());
         assert!(
             started.elapsed() < Duration::from_secs(10),
             "silent-connect close took {:?}",
@@ -577,7 +590,8 @@ mod tests {
             }
             Response::text(StatusCode::OK, format!("served {}", req.path))
         });
-        let handle = Arc::new(Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap());
+        let handle =
+            Arc::new(Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap());
         let stream = TcpStream::connect(handle.local_addr()).unwrap();
         let mut write = stream.try_clone().unwrap();
         // One write syscall carrying three pipelined requests: the server's
@@ -598,7 +612,9 @@ mod tests {
         // All three pipelined requests are answered; the last one closes.
         let mut reader = MessageReader::new(stream);
         for (i, path) in ["/gate", "/b", "/c"].iter().enumerate() {
-            let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+            let resp = reader
+                .read_response(&FrameLimits::default(), false)
+                .unwrap();
             assert_eq!(resp.status, StatusCode::OK, "response {i}");
             assert_eq!(resp.body_text().unwrap(), format!("served {path}"));
         }
@@ -627,7 +643,9 @@ mod tests {
         // The next connection is over capacity: explicit 429 + Retry-After.
         let over = TcpStream::connect(handle.local_addr()).unwrap();
         let mut reader = MessageReader::new(over);
-        let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+        let resp = reader
+            .read_response(&FrameLimits::default(), false)
+            .unwrap();
         assert_eq!(resp.status, StatusCode::TOO_MANY_REQUESTS);
         assert_eq!(resp.headers.get("retry-after"), Some("1"));
         assert_eq!(handle.stats().shed.load(Ordering::Relaxed), 1);
@@ -646,7 +664,9 @@ mod tests {
                 let mut write = stream.try_clone().unwrap();
                 write_request(&mut write, &Request::get(format!("/hold{i}")), "h").unwrap();
                 let mut reader = MessageReader::new(stream);
-                let resp = reader.read_response(&FrameLimits::default(), false).unwrap();
+                let resp = reader
+                    .read_response(&FrameLimits::default(), false)
+                    .unwrap();
                 assert_eq!(resp.headers.get("connection"), Some("keep-alive"));
                 reader
             })

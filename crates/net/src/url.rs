@@ -48,11 +48,15 @@ pub fn decode_component(encoded: &str) -> Result<String> {
                 let hi = bytes
                     .get(idx + 1)
                     .and_then(|b| (*b as char).to_digit(16))
-                    .ok_or_else(|| NetError::Protocol(format!("bad percent escape in {encoded:?}")))?;
+                    .ok_or_else(|| {
+                        NetError::Protocol(format!("bad percent escape in {encoded:?}"))
+                    })?;
                 let lo = bytes
                     .get(idx + 2)
                     .and_then(|b| (*b as char).to_digit(16))
-                    .ok_or_else(|| NetError::Protocol(format!("bad percent escape in {encoded:?}")))?;
+                    .ok_or_else(|| {
+                        NetError::Protocol(format!("bad percent escape in {encoded:?}"))
+                    })?;
                 out.push(((hi << 4) | lo) as u8);
                 idx += 3;
             }
@@ -66,8 +70,9 @@ pub fn decode_component(encoded: &str) -> Result<String> {
             }
         }
     }
-    String::from_utf8(out)
-        .map_err(|_| NetError::Protocol(format!("percent-decoded bytes are not UTF-8: {encoded:?}")))
+    String::from_utf8(out).map_err(|_| {
+        NetError::Protocol(format!("percent-decoded bytes are not UTF-8: {encoded:?}"))
+    })
 }
 
 /// An ordered multimap of query parameters.
@@ -287,7 +292,13 @@ impl Url {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}://{}{}", self.scheme, self.authority(), self.path_and_query())
+        write!(
+            f,
+            "{}://{}{}",
+            self.scheme,
+            self.authority(),
+            self.path_and_query()
+        )
     }
 }
 
@@ -299,7 +310,10 @@ mod tests {
     fn encodes_reserved_characters() {
         assert_eq!(encode_component("fifa world cup"), "fifa+world+cup");
         assert_eq!(encode_component("a&b=c"), "a%26b%3Dc");
-        assert_eq!(encode_component("2014-05-29T00:00:00Z"), "2014-05-29T00%3A00%3A00Z");
+        assert_eq!(
+            encode_component("2014-05-29T00:00:00Z"),
+            "2014-05-29T00%3A00%3A00Z"
+        );
         assert_eq!(encode_component("safe-_.~"), "safe-_.~");
         assert_eq!(encode_component("naïve"), "na%C3%AFve");
     }
@@ -373,7 +387,8 @@ mod tests {
 
     #[test]
     fn url_parse_full() {
-        let url = Url::parse("http://127.0.0.1:8080/youtube/v3/search?part=snippet&q=brexit").unwrap();
+        let url =
+            Url::parse("http://127.0.0.1:8080/youtube/v3/search?part=snippet&q=brexit").unwrap();
         assert_eq!(url.scheme, "http");
         assert_eq!(url.host, "127.0.0.1");
         assert_eq!(url.port, 8080);

@@ -10,10 +10,15 @@ use ytaudit_types::Topic;
 fn main() {
     let gate = SamplerConfig::default().gate_fraction;
     println!("gate fraction = {gate} (of the topic's mean hourly density)\n");
-    println!("{:<10} {:>12} {:>12} {:>14}", "topic", "gated hours", "gated mass", "share of mass");
+    println!(
+        "{:<10} {:>12} {:>12} {:>14}",
+        "topic", "gated hours", "gated mass", "share of mass"
+    );
     for topic in Topic::ALL {
         let density = InterestDensity::for_topic(&topic.spec());
-        let gated = (0..density.len()).filter(|&i| density.is_gated(i, gate)).count();
+        let gated = (0..density.len())
+            .filter(|&i| density.is_gated(i, gate))
+            .count();
         let mass: f64 = (0..density.len())
             .filter(|&i| density.is_gated(i, gate))
             .map(|i| density.weight(i))

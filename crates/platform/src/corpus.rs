@@ -102,9 +102,7 @@ impl Corpus {
         let mut topics = Vec::new();
         let mut comments = Vec::new();
         for (topic_idx, topic) in Topic::ALL.into_iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(
-                config.seed ^ (0xA11CE << 8) ^ (topic_idx as u64),
-            );
+            let mut rng = StdRng::seed_from_u64(config.seed ^ (0xA11CE << 8) ^ (topic_idx as u64));
             let topic_corpus =
                 generate_topic(topic, &config, &mut rng, &mut channels, &mut comments);
             topics.push(topic_corpus);
@@ -149,9 +147,8 @@ fn generate_topic(
 ) -> TopicCorpus {
     let spec = topic.spec();
     let density = InterestDensity::for_topic(&spec);
-    let n_videos = ((spec.returned_target * config.eligible_factor * config.scale).round()
-        as usize)
-        .max(24);
+    let n_videos =
+        ((spec.returned_target * config.eligible_factor * config.scale).round() as usize).max(24);
     let n_channels = (n_videos / 3).max(8);
 
     // --- Channels ---
@@ -265,7 +262,10 @@ fn generate_topic(
             id,
             channel_id,
             title: format!("{} video {}", spec.query, i),
-            description: format!("Synthetic {} footage uploaded for the audit corpus", spec.query),
+            description: format!(
+                "Synthetic {} footage uploaded for the audit corpus",
+                spec.query
+            ),
             terms,
             published_at,
             duration: IsoDuration::from_secs(duration_secs as u64),
@@ -381,10 +381,17 @@ mod tests {
             let start = tc.topic.window_start();
             let end = tc.topic.window_end();
             for v in &tc.videos {
-                assert!(v.published_at >= start && v.published_at < end, "{}", tc.topic);
+                assert!(
+                    v.published_at >= start && v.published_at < end,
+                    "{}",
+                    tc.topic
+                );
             }
             // Sorted by upload time.
-            assert!(tc.videos.windows(2).all(|w| w[0].published_at <= w[1].published_at));
+            assert!(tc
+                .videos
+                .windows(2)
+                .all(|w| w[0].published_at <= w[1].published_at));
         }
     }
 
@@ -436,7 +443,11 @@ mod tests {
     #[test]
     fn channel_views_and_subs_nearly_collinear() {
         let corpus = Corpus::generate(CorpusConfig::default());
-        let lv: Vec<f64> = corpus.channels.iter().map(|c| (c.stats.views as f64).ln_1p()).collect();
+        let lv: Vec<f64> = corpus
+            .channels
+            .iter()
+            .map(|c| (c.stats.views as f64).ln_1p())
+            .collect();
         let ls: Vec<f64> = corpus
             .channels
             .iter()

@@ -29,8 +29,7 @@ impl InterestDensity {
         let window_start = spec.topic.window_start();
         let window_end = spec.topic.window_end();
         let hours = window_end.hours_since(window_start).max(0) as usize;
-        let peak_time = spec.focal_date.as_secs() as f64
-            + spec.peak_offset_days * 86_400.0;
+        let peak_time = spec.focal_date.as_secs() as f64 + spec.peak_offset_days * 86_400.0;
         let sigma = (spec.peak_width_days * 86_400.0).max(3_600.0);
         // A sharp spike rides on the main burst: tight event topics
         // (Capitol, Grammys) concentrate heavily in the event hours, which
@@ -48,10 +47,7 @@ impl InterestDensity {
             let spike = spike_share * (-0.5 * zs * zs).exp();
             // Diurnal cycle: ±35% swing, trough at 06:00 UTC.
             let hour_of_day = t.to_civil().hour as f64;
-            let diurnal = 1.0
-                + 0.35
-                    * ((hour_of_day - 6.0) / 24.0 * std::f64::consts::TAU)
-                        .sin();
+            let diurnal = 1.0 + 0.35 * ((hour_of_day - 6.0) / 24.0 * std::f64::consts::TAU).sin();
             // Hour-level roughness: real upload streams are bursty.
             // Deterministic per (topic, hour) so every snapshot sees the
             // same density — Figure 2's stacked daily histograms coincide
@@ -120,10 +116,7 @@ impl InterestDensity {
     /// per-hour budgets over this so gating redistributes rather than
     /// shrinks the per-collection total.
     pub fn open_mass(&self, gate_fraction: f64) -> f64 {
-        self.weights
-            .iter()
-            .filter(|&&w| w >= gate_fraction)
-            .sum()
+        self.weights.iter().filter(|&&w| w >= gate_fraction).sum()
     }
 }
 
@@ -192,9 +185,7 @@ mod tests {
     fn tight_topics_have_sharper_peaks() {
         let capitol = InterestDensity::for_topic(&Topic::Capitol.spec());
         let world_cup = InterestDensity::for_topic(&Topic::WorldCup.spec());
-        let peak = |d: &InterestDensity| {
-            d.weights().iter().cloned().fold(f64::MIN, f64::max)
-        };
+        let peak = |d: &InterestDensity| d.weights().iter().cloned().fold(f64::MIN, f64::max);
         // Capitol's burst is concentrated: a higher peak relative to its
         // mean than the ongoing World Cup.
         assert!(peak(&capitol) > 1.5 * peak(&world_cup));

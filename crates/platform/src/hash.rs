@@ -169,7 +169,8 @@ mod tests {
         }
         let nf = n as f64;
         let cov = sxy / nf - (sx / nf) * (sy / nf);
-        let corr = cov / ((sxx / nf - (sx / nf).powi(2)).sqrt() * (syy / nf - (sy / nf).powi(2)).sqrt());
+        let corr =
+            cov / ((sxx / nf - (sx / nf).powi(2)).sqrt() * (syy / nf - (sy / nf).powi(2)).sqrt());
         assert!(corr.abs() < 0.06, "corr {corr}");
     }
 
@@ -190,7 +191,8 @@ mod tests {
         }
         let nf = n as f64;
         let cov = sxy / nf - (sx / nf) * (sy / nf);
-        let corr = cov / ((sxx / nf - (sx / nf).powi(2)).sqrt() * (syy / nf - (sy / nf).powi(2)).sqrt());
+        let corr =
+            cov / ((sxx / nf - (sx / nf).powi(2)).sqrt() * (syy / nf - (sy / nf).powi(2)).sqrt());
         assert!(corr > 0.8, "corr {corr}");
     }
 

@@ -25,7 +25,9 @@ pub mod serp;
 pub use clock::SimClock;
 pub use corpus::{Corpus, CorpusConfig, TopicCorpus};
 pub use density::InterestDensity;
-pub use search::{SamplerConfig, SearchEngine, SearchOrder, SearchOutcome, SearchParams, SeasonalConfig};
+pub use search::{
+    SamplerConfig, SearchEngine, SearchOrder, SearchOutcome, SearchParams, SeasonalConfig,
+};
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -337,7 +339,11 @@ impl Platform {
                 None => tops.push(comment),
             }
         }
-        tops.sort_by(|a, b| a.published_at.cmp(&b.published_at).then_with(|| a.id.cmp(&b.id)));
+        tops.sort_by(|a, b| {
+            a.published_at
+                .cmp(&b.published_at)
+                .then_with(|| a.id.cmp(&b.id))
+        });
         tops.into_iter()
             .map(|top| {
                 let mut thread_replies = replies.remove(&top.id).unwrap_or_default();
@@ -370,7 +376,11 @@ impl Platform {
             .map(|&i| &self.corpus.comments[i])
             .filter(|c| c.published_at <= now && c.id.parent().as_ref() == Some(parent))
             .collect();
-        out.sort_by(|a, b| a.published_at.cmp(&b.published_at).then_with(|| a.id.cmp(&b.id)));
+        out.sort_by(|a, b| {
+            a.published_at
+                .cmp(&b.published_at)
+                .then_with(|| a.id.cmp(&b.id))
+        });
         out
     }
 
@@ -435,10 +445,9 @@ mod tests {
         let p = platform();
         for topic in Topic::ALL {
             let outcome = p.search(&topic_params(topic), audit_time());
-            let eligible = p.corpus().topics
-                [Topic::ALL.iter().position(|&t| t == topic).unwrap()]
-            .videos
-            .len();
+            let eligible = p.corpus().topics[Topic::ALL.iter().position(|&t| t == topic).unwrap()]
+                .videos
+                .len();
             assert!(
                 outcome.video_ids.len() < eligible,
                 "{topic}: returned {} of {eligible}",
@@ -452,7 +461,11 @@ mod tests {
     fn search_drifts_across_collection_dates() {
         let p = platform();
         let params = topic_params(Topic::Blm);
-        let early: HashSet<_> = p.search(&params, audit_time()).video_ids.into_iter().collect();
+        let early: HashSet<_> = p
+            .search(&params, audit_time())
+            .video_ids
+            .into_iter()
+            .collect();
         let late: HashSet<_> = p
             .search(&params, audit_time().add_days(80))
             .video_ids
@@ -468,7 +481,11 @@ mod tests {
         let p = platform();
         let j_of = |topic: Topic| {
             let params = topic_params(topic);
-            let a: HashSet<_> = p.search(&params, audit_time()).video_ids.into_iter().collect();
+            let a: HashSet<_> = p
+                .search(&params, audit_time())
+                .video_ids
+                .into_iter()
+                .collect();
             let b: HashSet<_> = p
                 .search(&params, audit_time().add_days(80))
                 .video_ids
@@ -609,12 +626,7 @@ mod tests {
             .corpus()
             .channels
             .iter()
-            .max_by_key(|c| {
-                p.by_channel
-                    .get(&c.id)
-                    .map(Vec::len)
-                    .unwrap_or(0)
-            })
+            .max_by_key(|c| p.by_channel.get(&c.id).map(Vec::len).unwrap_or(0))
             .unwrap();
         let uploads = p
             .playlist_items(&channel.id.uploads_playlist(), now)
@@ -640,8 +652,12 @@ mod tests {
         let now = audit_time();
         assert!(p.video(&VideoId::new("doesnotexist"), now).is_none());
         assert!(p.channel(&ChannelId::new("UCnope")).is_none());
-        assert!(p.comment_threads(&VideoId::new("doesnotexist"), now).is_empty());
-        assert!(p.comments_by_parent(&CommentId::new("nope"), now).is_empty());
+        assert!(p
+            .comment_threads(&VideoId::new("doesnotexist"), now)
+            .is_empty());
+        assert!(p
+            .comments_by_parent(&CommentId::new("nope"), now)
+            .is_empty());
     }
 
     fn plain_jaccard(a: &HashSet<VideoId>, b: &HashSet<VideoId>) -> f64 {

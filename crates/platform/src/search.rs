@@ -252,7 +252,11 @@ impl SearchEngine {
         // below the mean (Grammys' min is 8.5% of its mean) while maxima
         // stay within ~1.6× of it.
         let raw = unit_normal(h);
-        let compressed = if raw > 0.0 { 1.6 * (raw / 1.6).tanh() } else { raw };
+        let compressed = if raw > 0.0 {
+            1.6 * (raw / 1.6).tanh()
+        } else {
+            raw
+        };
         let mut noise = (0.30 * compressed - 0.045).exp();
         let glitch = unit_f64(mix_all(&[h, 0x61_71C4]));
         if glitch < 0.01 {
@@ -356,17 +360,15 @@ impl SearchEngine {
 
         let spec = topic.spec();
         let density = self.density(topic);
-        let base_stability = self
-            .config
-            .stability_override
-            .unwrap_or(spec.stability);
+        let base_stability = self.config.stability_override.unwrap_or(spec.stability);
         let stability = Self::effective_stability(base_stability, match_fraction);
         let total_results = self.pool_estimate(topic, match_fraction, request_time, query_key);
 
         // Group eligible videos by hour bin and apply the budgeted,
         // propensity-weighted threshold per bin.
         let mut selected: Vec<&Video> = Vec::new();
-        let mut bins: std::collections::BTreeMap<i64, Vec<&Video>> = std::collections::BTreeMap::new();
+        let mut bins: std::collections::BTreeMap<i64, Vec<&Video>> =
+            std::collections::BTreeMap::new();
         let window_start = topic.window_start();
         for &video in eligible {
             bins.entry(video.published_at.hours_since(window_start))
@@ -407,8 +409,7 @@ impl SearchEngine {
             let budget = if channel_scoped {
                 0.75 * videos_in_bin.len() as f64
             } else {
-                self.config.budget_boost * day_factor * spec.returned_target * weight
-                    / open_mass
+                self.config.budget_boost * day_factor * spec.returned_target * weight / open_mass
                     * match_fraction
             };
             // Stochastic rounding of the fractional budget. The rounding
@@ -444,9 +445,7 @@ impl SearchEngine {
                 .iter()
                 .map(|&v| {
                     let vh = hash_bytes(v.id.as_str().as_bytes());
-                    let prop = channel_of(v)
-                        .map(|c| self.propensity(v, &c))
-                        .unwrap_or(0.0);
+                    let prop = channel_of(v).map(|c| self.propensity(v, &c)).unwrap_or(0.0);
                     (self.inclusion_key(vh, stability, prop, request_time), v)
                 })
                 .collect();
@@ -538,7 +537,10 @@ mod tests {
     #[test]
     fn detect_topic_from_tokens() {
         let tokens = |s: &str| ytaudit_types::topic::tokenize(s);
-        assert_eq!(SearchEngine::detect_topic(&tokens("higgs boson")), Some(Topic::Higgs));
+        assert_eq!(
+            SearchEngine::detect_topic(&tokens("higgs boson")),
+            Some(Topic::Higgs)
+        );
         assert_eq!(
             SearchEngine::detect_topic(&tokens("higgs boson cern")),
             Some(Topic::Higgs)
@@ -599,7 +601,8 @@ mod tests {
         assert!(engine.propensity(&liked, &channel) > base);
         // Longer ⇒ lower propensity.
         let mut long = video.clone();
-        long.duration = ytaudit_types::IsoDuration::from_secs(video.duration.as_secs() * 20 + 7_200);
+        long.duration =
+            ytaudit_types::IsoDuration::from_secs(video.duration.as_secs() * 20 + 7_200);
         assert!(engine.propensity(&long, &channel) < base);
         // More channel views ⇒ higher; more subscribers ⇒ lower.
         let mut big_views = channel.clone();
@@ -625,7 +628,8 @@ mod tests {
             assert_eq!(a, b);
         }
         // No propensity: popularity cannot shift the key.
-        let unbiased = SearchEngine::with_config(&corpus, SamplerConfig::default().without_propensity());
+        let unbiased =
+            SearchEngine::with_config(&corpus, SamplerConfig::default().without_propensity());
         assert_eq!(
             unbiased.inclusion_key(7, 0.5, 3.0, t0),
             unbiased.inclusion_key(7, 0.5, -3.0, t0)
@@ -675,7 +679,10 @@ mod tests {
                 - engine.inclusion_key(vh, 0.3, 0.0, t1))
             .abs();
         }
-        assert!(drift_stable * 3.0 < drift_unstable, "{drift_stable} vs {drift_unstable}");
+        assert!(
+            drift_stable * 3.0 < drift_unstable,
+            "{drift_stable} vs {drift_unstable}"
+        );
     }
 
     #[test]

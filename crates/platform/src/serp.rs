@@ -94,7 +94,9 @@ mod tests {
     fn puppets_see_similar_but_not_identical_pages() {
         let p = Platform::small(0.5);
         let now = Timestamp::from_ymd(2025, 2, 9).unwrap();
-        let pages: Vec<_> = (0..4).map(|puppet| p.serp(Topic::Blm, puppet, now)).collect();
+        let pages: Vec<_> = (0..4)
+            .map(|puppet| p.serp(Topic::Blm, puppet, now))
+            .collect();
         let mut min_overlap: f64 = 1.0;
         let mut identical = true;
         for i in 0..pages.len() {
@@ -103,7 +105,10 @@ mod tests {
                 identical &= pages[i] == pages[j];
             }
         }
-        assert!(min_overlap > 0.5, "fresh puppets agree broadly: {min_overlap}");
+        assert!(
+            min_overlap > 0.5,
+            "fresh puppets agree broadly: {min_overlap}"
+        );
         assert!(!identical, "personalization must produce some variation");
     }
 
@@ -114,7 +119,10 @@ mod tests {
         let page = p.serp(Topic::Grammys, 0, now);
         // Mean likes of SERP results beat the topic median by a wide
         // margin (relevance ranking is popularity-flavoured).
-        let topic_idx = Topic::ALL.iter().position(|&t| t == Topic::Grammys).unwrap();
+        let topic_idx = Topic::ALL
+            .iter()
+            .position(|&t| t == Topic::Grammys)
+            .unwrap();
         let mut all_likes: Vec<u64> = p.corpus().topics[topic_idx]
             .videos
             .iter()

@@ -160,8 +160,10 @@ impl MetricsRegistry {
     /// the transport factory during the run for live display and once
     /// more after it finishes).
     pub fn set_connections(&self, totals: ConnectionTotals) {
-        self.connections_opened.store(totals.opened, Ordering::Relaxed);
-        self.connections_reused.store(totals.reused, Ordering::Relaxed);
+        self.connections_opened
+            .store(totals.opened, Ordering::Relaxed);
+        self.connections_reused
+            .store(totals.reused, Ordering::Relaxed);
         self.connections_replayed
             .store(totals.replayed, Ordering::Relaxed);
         self.connections_discarded
@@ -278,10 +280,7 @@ impl MetricsSnapshot {
                 self.connections_discarded,
                 self.connections_shed
             ));
-            out.push_str(&format!(
-                "  pipe    depth hwm {:>8}\n",
-                self.pipeline_depth
-            ));
+            out.push_str(&format!("  pipe    depth hwm {:>8}\n", self.pipeline_depth));
         }
         if !self.endpoints.is_empty() {
             out.push_str(&format!(

@@ -27,10 +27,22 @@ pub struct State2 {
 impl State2 {
     /// All four histories in the paper's display order: PP, PA, AP, AA.
     pub const ALL: [State2; 4] = [
-        State2 { prev: true, curr: true },
-        State2 { prev: true, curr: false },
-        State2 { prev: false, curr: true },
-        State2 { prev: false, curr: false },
+        State2 {
+            prev: true,
+            curr: true,
+        },
+        State2 {
+            prev: true,
+            curr: false,
+        },
+        State2 {
+            prev: false,
+            curr: true,
+        },
+        State2 {
+            prev: false,
+            curr: false,
+        },
     ];
 
     fn index(self) -> usize {
@@ -270,10 +282,22 @@ impl<K: Ord + Eq + Hash + Clone> Default for PresenceAccumulator<K> {
 mod tests {
     use super::*;
 
-    const PP: State2 = State2 { prev: true, curr: true };
-    const PA: State2 = State2 { prev: true, curr: false };
-    const AP: State2 = State2 { prev: false, curr: true };
-    const AA: State2 = State2 { prev: false, curr: false };
+    const PP: State2 = State2 {
+        prev: true,
+        curr: true,
+    };
+    const PA: State2 = State2 {
+        prev: true,
+        curr: false,
+    };
+    const AP: State2 = State2 {
+        prev: false,
+        curr: true,
+    };
+    const AA: State2 = State2 {
+        prev: false,
+        curr: false,
+    };
 
     #[test]
     fn counts_sliding_windows() {
@@ -354,13 +378,7 @@ mod tests {
     fn presence_accumulator_matches_sequence_replay() {
         // Presence matrix: rows are snapshots, columns are keys. Key "c"
         // first appears at snapshot 3 to exercise the absent back-fill.
-        let rows: [&[&str]; 5] = [
-            &["a", "b"],
-            &["a"],
-            &["a", "b"],
-            &["b", "c"],
-            &["a", "c"],
-        ];
+        let rows: [&[&str]; 5] = [&["a", "b"], &["a"], &["a", "b"], &["b", "c"], &["a", "c"]];
         let keys = ["a", "b", "c"];
         let mut acc = PresenceAccumulator::new();
         for row in rows {

@@ -146,7 +146,9 @@ impl Matrix {
     /// LU decomposition with partial pivoting; returns (LU, perm, sign).
     fn lu(&self) -> Result<(Matrix, Vec<usize>, f64)> {
         if self.rows != self.cols {
-            return Err(StatsError::InvalidInput("LU requires a square matrix".into()));
+            return Err(StatsError::InvalidInput(
+                "LU requires a square matrix".into(),
+            ));
         }
         let n = self.rows;
         let mut lu = self.clone();
@@ -221,7 +223,9 @@ impl Matrix {
     pub fn inverse(&self) -> Result<Matrix> {
         let n = self.rows;
         if self.rows != self.cols {
-            return Err(StatsError::InvalidInput("inverse requires a square matrix".into()));
+            return Err(StatsError::InvalidInput(
+                "inverse requires a square matrix".into(),
+            ));
         }
         let mut out = Matrix::zeros(n, n);
         let mut e = vec![0.0; n];
@@ -250,7 +254,9 @@ impl Matrix {
     /// matrix is not symmetric positive-definite.
     pub fn cholesky(&self) -> Result<Matrix> {
         if self.rows != self.cols {
-            return Err(StatsError::InvalidInput("Cholesky requires a square matrix".into()));
+            return Err(StatsError::InvalidInput(
+                "Cholesky requires a square matrix".into(),
+            ));
         }
         let n = self.rows;
         let mut l = Matrix::zeros(n, n);
@@ -349,11 +355,7 @@ mod tests {
 
     #[test]
     fn transpose_and_gram_agree() {
-        let x = Matrix::from_rows(&[
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-        ])
-        .unwrap();
+        let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         let explicit = x.transpose().matmul(&x).unwrap();
         assert_eq!(x.gram(), explicit);
     }

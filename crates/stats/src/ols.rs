@@ -200,7 +200,11 @@ impl OlsFit {
         let ss_tot: f64 = y.iter().map(|yi| (yi - y_mean) * (yi - y_mean)).sum();
         let df_resid = n - p;
         let sigma2 = ss_res / df_resid as f64;
-        let r_squared = if ss_tot > 0.0 { 1.0 - ss_res / ss_tot } else { 0.0 };
+        let r_squared = if ss_tot > 0.0 {
+            1.0 - ss_res / ss_tot
+        } else {
+            0.0
+        };
         let adj_r_squared = 1.0 - (1.0 - r_squared) * ((n - 1) as f64 / df_resid as f64);
 
         let xtx_inv = xtx.inverse()?;
@@ -247,7 +251,11 @@ impl OlsFit {
         let t_crit = t_quantile_975(df_resid as f64);
         for j in 0..p {
             let se = cov[(j, j)].max(0.0).sqrt();
-            let t = if se > 0.0 { beta[j] / se } else { f64::INFINITY };
+            let t = if se > 0.0 {
+                beta[j] / se
+            } else {
+                f64::INFINITY
+            };
             std_errors.push(se);
             t_values.push(t);
             p_values.push(t_p_two_sided(t, df_resid as f64));
@@ -343,7 +351,11 @@ mod tests {
         let mx = x_vals.iter().sum::<f64>() / n;
         let my = y.iter().sum::<f64>() / n;
         let sxx: f64 = x_vals.iter().map(|v| (v - mx) * (v - mx)).sum();
-        let sxy: f64 = x_vals.iter().zip(&y).map(|(a, b)| (a - mx) * (b - my)).sum();
+        let sxy: f64 = x_vals
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| (a - mx) * (b - my))
+            .sum();
         let slope = sxy / sxx;
         let intercept = my - slope * mx;
         let ss_res: f64 = x_vals
@@ -432,7 +444,9 @@ mod tests {
 
     #[test]
     fn f_statistic_and_r2_consistency() {
-        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![(i % 7) as f64, (i % 3) as f64]).collect();
+        let x: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![(i % 7) as f64, (i % 3) as f64])
+            .collect();
         let y: Vec<f64> = x
             .iter()
             .enumerate()
@@ -450,7 +464,11 @@ mod tests {
     #[test]
     fn confidence_intervals_bracket_estimates() {
         let x: Vec<Vec<f64>> = (0..25).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = x.iter().enumerate().map(|(i, r)| 3.0 * r[0] + ((i % 5) as f64)).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, r)| 3.0 * r[0] + ((i % 5) as f64))
+            .collect();
         let fit = OlsFit::fit(&["x"], &x, &y, OlsOptions::default()).unwrap();
         for j in 0..fit.coefficients.len() {
             assert!(fit.ci_low[j] < fit.coefficients[j]);
@@ -475,7 +493,13 @@ mod tests {
     #[test]
     fn rejects_degenerate_inputs() {
         assert!(OlsFit::fit(&["x"], &[vec![1.0]], &[1.0], OlsOptions::default()).is_err());
-        assert!(OlsFit::fit(&["x"], &[vec![1.0], vec![2.0]], &[1.0], OlsOptions::default()).is_err());
+        assert!(OlsFit::fit(
+            &["x"],
+            &[vec![1.0], vec![2.0]],
+            &[1.0],
+            OlsOptions::default()
+        )
+        .is_err());
         // Perfectly collinear predictors.
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
         let y: Vec<f64> = (0..10).map(|i| i as f64).collect();

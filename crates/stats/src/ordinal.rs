@@ -129,7 +129,9 @@ impl OrdinalModel {
         }
         let n_cat = y.iter().copied().max().map_or(0, |m| m + 1);
         if n_cat < 2 {
-            return Err(StatsError::InvalidInput("need at least 2 outcome categories".into()));
+            return Err(StatsError::InvalidInput(
+                "need at least 2 outcome categories".into(),
+            ));
         }
         let mut counts = vec![0usize; n_cat];
         for &yi in y {
@@ -187,8 +189,7 @@ impl OrdinalModel {
             // likelihood and keeps thresholds ordered.
             let mut accepted = false;
             for _half in 0..40 {
-                let candidate: Vec<f64> =
-                    params.iter().zip(&step).map(|(p, s)| p + s).collect();
+                let candidate: Vec<f64> = params.iter().zip(&step).map(|(p, s)| p + s).collect();
                 let ordered = candidate
                     .windows(2)
                     .take(n_thresh.saturating_sub(1))
@@ -259,7 +260,11 @@ impl OrdinalModel {
         let lr_chi2 = (2.0 * (ll - null_ll)).max(0.0);
         let lr_df = k as f64;
         let lr_p = chi2_sf(lr_chi2, lr_df.max(1.0));
-        let pseudo_r2 = if null_ll < 0.0 { 1.0 - ll / null_ll } else { 0.0 };
+        let pseudo_r2 = if null_ll < 0.0 {
+            1.0 - ll / null_ll
+        } else {
+            0.0
+        };
 
         let z_crit = normal_quantile(0.975);
         let mut coefficients = Vec::with_capacity(k);
@@ -554,10 +559,7 @@ mod tests {
                 // f ≈ dF/dz numerically.
                 let h = 1e-6;
                 let numeric = (link.cdf(z + h) - link.cdf(z - h)) / (2.0 * h);
-                assert!(
-                    (link.pdf(z) - numeric).abs() < 1e-6,
-                    "{link:?} pdf at {z}"
-                );
+                assert!((link.pdf(z) - numeric).abs() < 1e-6, "{link:?} pdf at {z}");
                 let numeric2 = (link.pdf(z + h) - link.pdf(z - h)) / (2.0 * h);
                 assert!(
                     (link.dpdf(z) - numeric2).abs() < 1e-5,
@@ -565,7 +567,10 @@ mod tests {
                 );
                 // Quantile inverts the CDF.
                 let p = link.cdf(z);
-                assert!((link.quantile(p) - z).abs() < 1e-6, "{link:?} quantile at {z}");
+                assert!(
+                    (link.quantile(p) - z).abs() < 1e-6,
+                    "{link:?} quantile at {z}"
+                );
             }
         }
     }
@@ -590,8 +595,16 @@ mod tests {
         // θ − β = logit(0.3).
         let theta = logit(0.7);
         let beta = theta - logit(0.3);
-        assert!((fit.thresholds[0] - theta).abs() < 1e-6, "{}", fit.thresholds[0]);
-        assert!((fit.coefficients[0] - beta).abs() < 1e-6, "{}", fit.coefficients[0]);
+        assert!(
+            (fit.thresholds[0] - theta).abs() < 1e-6,
+            "{}",
+            fit.thresholds[0]
+        );
+        assert!(
+            (fit.coefficients[0] - beta).abs() < 1e-6,
+            "{}",
+            fit.coefficients[0]
+        );
         assert!(fit.p_values[0] < 0.001);
         assert!(fit.lr_p < 0.001);
         assert!(fit.pseudo_r2 > 0.0);
@@ -613,8 +626,16 @@ mod tests {
         let inv = |p: f64| (-(1.0f64 - p).ln()).ln();
         let theta = inv(0.6);
         let beta = theta - inv(0.3);
-        assert!((fit.thresholds[0] - theta).abs() < 1e-4, "{}", fit.thresholds[0]);
-        assert!((fit.coefficients[0] - beta).abs() < 1e-4, "{}", fit.coefficients[0]);
+        assert!(
+            (fit.thresholds[0] - theta).abs() < 1e-4,
+            "{}",
+            fit.thresholds[0]
+        );
+        assert!(
+            (fit.coefficients[0] - beta).abs() < 1e-4,
+            "{}",
+            fit.coefficients[0]
+        );
     }
 
     #[test]
@@ -637,9 +658,9 @@ mod tests {
             up[i] += h;
             let mut down = params.clone();
             down[i] -= h;
-            let numeric =
-                (model.log_likelihood(&x, &y, &up, 2) - model.log_likelihood(&x, &y, &down, 2))
-                    / (2.0 * h);
+            let numeric = (model.log_likelihood(&x, &y, &up, 2)
+                - model.log_likelihood(&x, &y, &down, 2))
+                / (2.0 * h);
             assert!(
                 (grad[i] - numeric).abs() < 1e-5,
                 "param {i}: analytic {} vs numeric {numeric}",
@@ -703,7 +724,14 @@ mod tests {
 
     #[test]
     fn predicted_probabilities_sum_to_one() {
-        let x = vec![vec![0.0], vec![1.0], vec![2.0], vec![0.5], vec![1.5], vec![2.5]];
+        let x = vec![
+            vec![0.0],
+            vec![1.0],
+            vec![2.0],
+            vec![0.5],
+            vec![1.5],
+            vec![2.5],
+        ];
         let y = vec![0, 0, 1, 1, 2, 2];
         let fit = OrdinalModel::logit().fit(&["x"], &x, &y).unwrap();
         for row in &x {
@@ -739,7 +767,14 @@ mod tests {
 
     #[test]
     fn observation_set_is_order_invariant() {
-        let x = vec![vec![0.0], vec![1.0], vec![2.0], vec![0.5], vec![1.5], vec![2.5]];
+        let x = vec![
+            vec![0.0],
+            vec![1.0],
+            vec![2.0],
+            vec![0.5],
+            vec![1.5],
+            vec![2.5],
+        ];
         let y = vec![0, 0, 1, 1, 2, 2];
         let mut forward = ObservationSet::new();
         for (row, &yi) in x.iter().zip(&y) {
@@ -775,7 +810,7 @@ mod tests {
         let model = OrdinalModel::logit();
         assert!(model.fit(&["x"], &[vec![1.0]], &[0, 1]).is_err()); // length mismatch
         assert!(model.fit(&["x"], &[vec![1.0], vec![2.0]], &[0, 0]).is_err()); // one category
-        // Category 2 present but category 1 missing.
+                                                                               // Category 2 present but category 1 missing.
         assert!(model
             .fit(&["x"], &[vec![1.0], vec![2.0], vec![3.0]], &[0, 0, 2])
             .is_err());

@@ -145,7 +145,11 @@ mod tests {
         let y = [2.0, 1.0, 4.0, 3.0, 7.0, 5.0];
         let c = pearson(&x, &y).unwrap();
         let expect_r = 16.0 / (17.5f64 * 70.0 / 3.0).sqrt();
-        assert!((c.coefficient - expect_r).abs() < 1e-12, "{}", c.coefficient);
+        assert!(
+            (c.coefficient - expect_r).abs() < 1e-12,
+            "{}",
+            c.coefficient
+        );
         assert!((c.p_value - 0.0606).abs() < 0.002, "{}", c.p_value);
         assert_eq!(c.stars(), "");
     }
@@ -169,7 +173,11 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let y = [2.0, 1.0, 4.0, 3.0, 7.0, 5.0];
         let c = spearman(&x, &y).unwrap();
-        assert!((c.coefficient - 29.0 / 35.0).abs() < 1e-12, "{}", c.coefficient);
+        assert!(
+            (c.coefficient - 29.0 / 35.0).abs() < 1e-12,
+            "{}",
+            c.coefficient
+        );
         assert!((c.p_value - 0.0417).abs() < 0.002, "{}", c.p_value);
         assert_eq!(c.stars(), "*");
     }
@@ -180,7 +188,11 @@ mod tests {
         let y = [1.0, 2.0, 3.0, 4.0];
         let c = spearman(&x, &y).unwrap();
         // R: cor(c(1,2,2,3), c(1,2,3,4), method="spearman") = 0.9486833.
-        assert!((c.coefficient - 0.948_683_3).abs() < 1e-6, "{}", c.coefficient);
+        assert!(
+            (c.coefficient - 0.948_683_3).abs() < 1e-6,
+            "{}",
+            c.coefficient
+        );
     }
 
     #[test]

@@ -60,7 +60,11 @@ pub fn set_differences<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> (usize, 
 /// style coverage comparisons where one set is a subset query of another.
 pub fn overlap_coefficient<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
     if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
+        return if a.is_empty() && b.is_empty() {
+            1.0
+        } else {
+            0.0
+        };
     }
     let intersection = a.intersection(b).count();
     intersection as f64 / a.len().min(b.len()) as f64

@@ -336,9 +336,17 @@ mod tests {
         assert!(close(ln_gamma(5.0), 24f64.ln(), 1e-12));
         assert!(close(ln_gamma(11.0), 3_628_800f64.ln(), 1e-12));
         // Γ(1/2) = √π.
-        assert!(close(ln_gamma(0.5), std::f64::consts::PI.sqrt().ln(), 1e-12));
+        assert!(close(
+            ln_gamma(0.5),
+            std::f64::consts::PI.sqrt().ln(),
+            1e-12
+        ));
         // Γ(1.5) = √π/2.
-        assert!(close(ln_gamma(1.5), (std::f64::consts::PI.sqrt() / 2.0).ln(), 1e-12));
+        assert!(close(
+            ln_gamma(1.5),
+            (std::f64::consts::PI.sqrt() / 2.0).ln(),
+            1e-12
+        ));
         // Reflection region.
         assert!(close(ln_gamma(0.1), 2.252_712_651_734_206, 1e-10));
     }
@@ -366,7 +374,19 @@ mod tests {
 
     #[test]
     fn normal_quantile_inverts_cdf() {
-        for &p in &[1e-10, 1e-6, 0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999, 1.0 - 1e-9] {
+        for &p in &[
+            1e-10,
+            1e-6,
+            0.001,
+            0.01,
+            0.025,
+            0.1,
+            0.5,
+            0.9,
+            0.975,
+            0.999,
+            1.0 - 1e-9,
+        ] {
             let z = normal_quantile(p);
             assert!(close(normal_cdf(z), p, 1e-10), "p={p}, z={z}");
         }
@@ -378,8 +398,17 @@ mod tests {
 
     #[test]
     fn gamma_p_q_are_complementary() {
-        for &(a, x) in &[(0.5, 0.3), (1.0, 1.0), (2.5, 4.0), (10.0, 8.0), (10.0, 14.0)] {
-            assert!(close(gamma_p(a, x) + gamma_q(a, x), 1.0, 1e-12), "a={a} x={x}");
+        for &(a, x) in &[
+            (0.5, 0.3),
+            (1.0, 1.0),
+            (2.5, 4.0),
+            (10.0, 8.0),
+            (10.0, 14.0),
+        ] {
+            assert!(
+                close(gamma_p(a, x) + gamma_q(a, x), 1.0, 1e-12),
+                "a={a} x={x}"
+            );
         }
         // P(1, x) = 1 − e^{−x}.
         assert!(close(gamma_p(1.0, 2.0), 1.0 - (-2.0f64).exp(), 1e-12));
@@ -427,7 +456,11 @@ mod tests {
         // Large df approaches the normal.
         assert!(close(t_cdf(1.96, 100_000.0), normal_cdf(1.96), 1e-5));
         // Two-sided p.
-        assert!(close(t_p_two_sided(2.228_138_851_986_273, 10.0), 0.05, 1e-8));
+        assert!(close(
+            t_p_two_sided(2.228_138_851_986_273, 10.0),
+            0.05,
+            1e-8
+        ));
     }
 
     #[test]

@@ -103,7 +103,10 @@ mod tests {
             assert!(v.abs() < 0.2, "{v}");
         }
         let (_q, p) = ljung_box(&series, 10).unwrap();
-        assert!(p > 0.01, "pseudo-random series should look like noise: p={p}");
+        assert!(
+            p > 0.01,
+            "pseudo-random series should look like noise: p={p}"
+        );
     }
 
     #[test]

@@ -18,10 +18,8 @@ impl TempDir {
     /// directory.
     pub fn new(prefix: &str) -> TempDir {
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "ytaudit-store-{prefix}-{}-{n}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("ytaudit-store-{prefix}-{}-{n}", std::process::id()));
         // ytlint: allow(panics) — test-support scaffolding; an unusable
         // temp root means no test can run, so aborting is the right call
         std::fs::create_dir_all(&path).expect("create temp dir");

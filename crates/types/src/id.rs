@@ -214,10 +214,7 @@ mod tests {
     fn video_ids_have_youtube_shape() {
         let id = VideoId::mint(42, 0);
         assert_eq!(id.as_str().len(), 11);
-        assert!(id
-            .as_str()
-            .bytes()
-            .all(|b| ALPHABET.contains(&b)));
+        assert!(id.as_str().bytes().all(|b| ALPHABET.contains(&b)));
     }
 
     #[test]

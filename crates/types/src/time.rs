@@ -43,10 +43,15 @@ impl Timestamp {
     pub fn from_ymd_hms(y: i32, m: u32, d: u32, h: u32, min: u32, s: u32) -> Result<Timestamp> {
         let date = CivilDate::new(y, m, d)?;
         if h > 23 || min > 59 || s > 59 {
-            return Err(Error::InvalidTime(format!("{h:02}:{min:02}:{s:02} out of range")));
+            return Err(Error::InvalidTime(format!(
+                "{h:02}:{min:02}:{s:02} out of range"
+            )));
         }
         Ok(Timestamp(
-            date.days_since_epoch() * DAY + i64::from(h) * HOUR + i64::from(min) * MINUTE + i64::from(s),
+            date.days_since_epoch() * DAY
+                + i64::from(h) * HOUR
+                + i64::from(min) * MINUTE
+                + i64::from(s),
         ))
     }
 
@@ -80,10 +85,7 @@ impl Timestamp {
             panic!("time-of-day literal out of range");
         }
         Timestamp(
-            Timestamp::from_ymd_const(y, m, d).0
-                + h as i64 * HOUR
-                + min as i64 * MINUTE
-                + s as i64,
+            Timestamp::from_ymd_const(y, m, d).0 + h as i64 * HOUR + min as i64 * MINUTE + s as i64,
         )
     }
 
@@ -192,7 +194,9 @@ impl CivilDate {
         }
         let dim = days_in_month(year, month);
         if day == 0 || day > dim {
-            return Err(Error::InvalidTime(format!("day {day} out of range for {year}-{month:02}")));
+            return Err(Error::InvalidTime(format!(
+                "day {day} out of range for {year}-{month:02}"
+            )));
         }
         Ok(CivilDate { year, month, day })
     }
@@ -398,7 +402,12 @@ impl CivilDateTime {
             return Err(bad());
         }
         let date = CivilDate::new(year, month, day)?;
-        let local = CivilDateTime { date, hour, minute, second };
+        let local = CivilDateTime {
+            date,
+            hour,
+            minute,
+            second,
+        };
         // Normalize to UTC by subtracting the offset.
         Ok(Timestamp(local.to_timestamp().0 - offset_secs).to_civil())
     }
@@ -527,7 +536,10 @@ mod tests {
     #[test]
     fn epoch_is_day_zero() {
         assert_eq!(CivilDate::new(1970, 1, 1).unwrap().days_since_epoch(), 0);
-        assert_eq!(CivilDate::from_days_since_epoch(0), CivilDate::new(1970, 1, 1).unwrap());
+        assert_eq!(
+            CivilDate::from_days_since_epoch(0),
+            CivilDate::new(1970, 1, 1).unwrap()
+        );
     }
 
     #[test]
@@ -585,8 +597,14 @@ mod tests {
     #[test]
     fn parses_fraction_and_offsets() {
         let base = Timestamp::from_ymd_hms(2021, 1, 6, 12, 0, 0).unwrap();
-        assert_eq!(Timestamp::parse_rfc3339("2021-01-06T12:00:00.000Z").unwrap(), base);
-        assert_eq!(Timestamp::parse_rfc3339("2021-01-06T12:00:00.123456Z").unwrap(), base);
+        assert_eq!(
+            Timestamp::parse_rfc3339("2021-01-06T12:00:00.000Z").unwrap(),
+            base
+        );
+        assert_eq!(
+            Timestamp::parse_rfc3339("2021-01-06T12:00:00.123456Z").unwrap(),
+            base
+        );
         // +02:00 means the UTC instant is two hours earlier.
         assert_eq!(
             Timestamp::parse_rfc3339("2021-01-06T14:00:00+02:00").unwrap(),
@@ -596,7 +614,10 @@ mod tests {
             Timestamp::parse_rfc3339("2021-01-06T07:30:00-04:30").unwrap(),
             base
         );
-        assert_eq!(Timestamp::parse_rfc3339("2021-01-06t12:00:00z").unwrap(), base);
+        assert_eq!(
+            Timestamp::parse_rfc3339("2021-01-06t12:00:00z").unwrap(),
+            base
+        );
     }
 
     #[test]
@@ -614,7 +635,10 @@ mod tests {
             "not a date at all!!",
             "2021-01-06X12:00:00Z",
         ] {
-            assert!(Timestamp::parse_rfc3339(text).is_err(), "should reject {text:?}");
+            assert!(
+                Timestamp::parse_rfc3339(text).is_err(),
+                "should reject {text:?}"
+            );
         }
     }
 
@@ -665,7 +689,19 @@ mod tests {
 
     #[test]
     fn duration_rejects_malformed() {
-        for text in ["", "P", "PT", "4M", "PT4X", "PTM", "PT4M13", "PT13S4M", "P1H", "QT4M", "PT999999999999999999999S"] {
+        for text in [
+            "",
+            "P",
+            "PT",
+            "4M",
+            "PT4X",
+            "PTM",
+            "PT4M13",
+            "PT13S4M",
+            "P1H",
+            "QT4M",
+            "PT999999999999999999999S",
+        ] {
             assert!(IsoDuration::parse(text).is_err(), "should reject {text:?}");
         }
     }
@@ -683,6 +719,9 @@ mod tests {
         let ts = Timestamp::from_ymd_hms(2014, 6, 12, 17, 0, 0).unwrap();
         assert_eq!(ts.to_string(), "2014-06-12T17:00:00Z");
         assert_eq!(IsoDuration::from_secs(61).to_string(), "PT1M1S");
-        assert_eq!(CivilDate::new(2014, 6, 12).unwrap().to_string(), "2014-06-12");
+        assert_eq!(
+            CivilDate::new(2014, 6, 12).unwrap().to_string(),
+            "2014-06-12"
+        );
     }
 }

@@ -128,14 +128,7 @@ impl Topic {
                 peak_width_days: 2.0,
                 background_level: 0.22,
                 stability: 0.62,
-                subtopics: &[
-                    "leave",
-                    "remain",
-                    "eu",
-                    "cameron",
-                    "farage",
-                    "article 50",
-                ],
+                subtopics: &["leave", "remain", "eu", "cameron", "farage", "article 50"],
                 nested_comments: true,
             },
             Topic::Capitol => TopicSpec {
@@ -329,12 +322,30 @@ mod tests {
 
     #[test]
     fn focal_dates_match_appendix_a() {
-        assert_eq!(Topic::Blm.spec().focal_date.to_rfc3339(), "2020-05-25T00:00:00Z");
-        assert_eq!(Topic::Brexit.spec().focal_date.to_rfc3339(), "2016-06-23T00:00:00Z");
-        assert_eq!(Topic::Capitol.spec().focal_date.to_rfc3339(), "2021-01-06T00:00:00Z");
-        assert_eq!(Topic::Grammys.spec().focal_date.to_rfc3339(), "2024-02-04T00:00:00Z");
-        assert_eq!(Topic::Higgs.spec().focal_date.to_rfc3339(), "2012-07-04T00:00:00Z");
-        assert_eq!(Topic::WorldCup.spec().focal_date.to_rfc3339(), "2014-06-12T00:00:00Z");
+        assert_eq!(
+            Topic::Blm.spec().focal_date.to_rfc3339(),
+            "2020-05-25T00:00:00Z"
+        );
+        assert_eq!(
+            Topic::Brexit.spec().focal_date.to_rfc3339(),
+            "2016-06-23T00:00:00Z"
+        );
+        assert_eq!(
+            Topic::Capitol.spec().focal_date.to_rfc3339(),
+            "2021-01-06T00:00:00Z"
+        );
+        assert_eq!(
+            Topic::Grammys.spec().focal_date.to_rfc3339(),
+            "2024-02-04T00:00:00Z"
+        );
+        assert_eq!(
+            Topic::Higgs.spec().focal_date.to_rfc3339(),
+            "2012-07-04T00:00:00Z"
+        );
+        assert_eq!(
+            Topic::WorldCup.spec().focal_date.to_rfc3339(),
+            "2014-06-12T00:00:00Z"
+        );
     }
 
     #[test]
@@ -374,7 +385,11 @@ mod tests {
     #[test]
     fn only_higgs_lacks_nested_comments() {
         for topic in Topic::ALL {
-            assert_eq!(topic.spec().nested_comments, topic != Topic::Higgs, "{topic}");
+            assert_eq!(
+                topic.spec().nested_comments,
+                topic != Topic::Higgs,
+                "{topic}"
+            );
         }
     }
 

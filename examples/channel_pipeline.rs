@@ -70,7 +70,9 @@ fn main() {
         "\nQuota: search cost {} units vs {} units for the whole ID-based pipeline.",
         client.budget().units_for(ytaudit::api::Endpoint::Search),
         client.budget().units_for(ytaudit::api::Endpoint::Channels)
-            + client.budget().units_for(ytaudit::api::Endpoint::PlaylistItems),
+            + client
+                .budget()
+                .units_for(ytaudit::api::Endpoint::PlaylistItems),
     );
     println!(
         "The ID-based route is both cheaper and complete — the paper's\n\

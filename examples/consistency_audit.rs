@@ -25,7 +25,9 @@ fn main() {
             .map(|t| t.display_name())
             .collect::<Vec<_>>()
     );
-    let dataset = Collector::new(&client, config).run().expect("collection succeeds");
+    let dataset = Collector::new(&client, config)
+        .run()
+        .expect("collection succeeds");
     let report = Analyzer::analyze_dataset(&dataset);
 
     // --- Figure 1: rolling Jaccards ---

@@ -17,7 +17,9 @@ fn main() {
         Arc::new(Platform::small(0.2)),
         SimClock::at_audit_start(),
     ));
-    service.quota().register("research-key", RESEARCHER_DAILY_QUOTA);
+    service
+        .quota()
+        .register("research-key", RESEARCHER_DAILY_QUOTA);
     let server = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     println!("simulated Data API listening on {}\n", server.base_url());
 

@@ -11,12 +11,11 @@ use ytaudit::types::Topic;
 /// (collections dominate test time; analyses are cheap).
 fn collect() -> ytaudit::core::AuditDataset {
     let (client, _service) = test_client(0.35);
-    let mut config = CollectorConfig::quick(
-        vec![Topic::Blm, Topic::Brexit, Topic::Higgs],
-        8,
-    );
+    let mut config = CollectorConfig::quick(vec![Topic::Blm, Topic::Brexit, Topic::Higgs], 8);
     config.fetch_comments = true;
-    Collector::new(&client, config).run().expect("collection succeeds")
+    Collector::new(&client, config)
+        .run()
+        .expect("collection succeeds")
 }
 
 #[test]
@@ -34,8 +33,16 @@ fn reduced_audit_recovers_the_papers_findings() {
     };
     assert!(final_j(Topic::Higgs) > final_j(Topic::Brexit));
     assert!(final_j(Topic::Brexit) > final_j(Topic::Blm));
-    assert!(final_j(Topic::Blm) < 0.85, "BLM must churn: {}", final_j(Topic::Blm));
-    assert!(final_j(Topic::Higgs) > 0.85, "Higgs must persist: {}", final_j(Topic::Higgs));
+    assert!(
+        final_j(Topic::Blm) < 0.85,
+        "BLM must churn: {}",
+        final_j(Topic::Blm)
+    );
+    assert!(
+        final_j(Topic::Higgs) > 0.85,
+        "Higgs must persist: {}",
+        final_j(Topic::Higgs)
+    );
     // Adjacent similarity exceeds first-vs-last similarity (decay is
     // cumulative, not a level shift).
     for tc in fig1 {
@@ -54,8 +61,16 @@ fn reduced_audit_recovers_the_papers_findings() {
     // --- Figure 3: rolling window, including the second-order
     // refinement (8 snapshots give enough mixed-history transitions). ---
     let fig3 = report.figure3.as_ref().expect("transitions observed");
-    assert!(fig3.p_stay_present() > 0.8, "P(P|PP) = {}", fig3.p_stay_present());
-    assert!(fig3.p_stay_absent() > 0.55, "P(A|AA) = {}", fig3.p_stay_absent());
+    assert!(
+        fig3.p_stay_present() > 0.8,
+        "P(P|PP) = {}",
+        fig3.p_stay_present()
+    );
+    assert!(
+        fig3.p_stay_absent() > 0.55,
+        "P(A|AA) = {}",
+        fig3.p_stay_absent()
+    );
     assert!(
         fig3.transitions[0][0] > fig3.transitions[2][0],
         "P(P|PP) {} must exceed P(P|AP) {}",
@@ -82,7 +97,14 @@ fn reduced_audit_recovers_the_papers_findings() {
     let t3 = regression.table3.as_ref().expect("fits");
     let t6 = regression.table6.as_ref().expect("fits");
     for (label, coeff_of) in [
-        ("t3", &t3.names.iter().cloned().zip(t3.coefficients.iter().cloned()).collect::<Vec<_>>()),
+        (
+            "t3",
+            &t3.names
+                .iter()
+                .cloned()
+                .zip(t3.coefficients.iter().cloned())
+                .collect::<Vec<_>>(),
+        ),
         (
             "t6",
             &t6.names
@@ -99,12 +121,27 @@ fn reduced_audit_recovers_the_papers_findings() {
                 .map(|(_, c)| *c)
                 .unwrap_or_else(|| panic!("{label}: missing {name}"))
         };
-        assert!(get("higgs (topic)") > 0.5, "{label}: higgs {}", get("higgs (topic)"));
-        assert!(get("brexit (topic)") > 0.0, "{label}: brexit {}", get("brexit (topic)"));
-        assert!(get("duration") < 0.0, "{label}: duration {}", get("duration"));
+        assert!(
+            get("higgs (topic)") > 0.5,
+            "{label}: higgs {}",
+            get("higgs (topic)")
+        );
+        assert!(
+            get("brexit (topic)") > 0.0,
+            "{label}: brexit {}",
+            get("brexit (topic)")
+        );
+        assert!(
+            get("duration") < 0.0,
+            "{label}: duration {}",
+            get("duration")
+        );
     }
     assert!(t3.lr_p < 1e-6, "the model beats the null decisively");
-    assert!(t3.pseudo_r2 < 0.5, "most variance stays unexplained (randomization)");
+    assert!(
+        t3.pseudo_r2 < 0.5,
+        "most variance stays unexplained (randomization)"
+    );
 
     // --- Table 5: comment endpoints are stable on shared videos. ---
     for row in &report.table5 {

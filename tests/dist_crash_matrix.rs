@@ -29,8 +29,8 @@ use ytaudit::dist::protocol::{
     SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
 };
 use ytaudit::dist::{
-    run_worker, Coordinator, CoordinatorChannel, DistError, DistErrorKind, HttpChannel,
-    LeaseGrant, LeaseReply, LocalChannel, ShipReply, WorkerConfig, WorkerReport,
+    run_worker, Coordinator, CoordinatorChannel, DistError, DistErrorKind, HttpChannel, LeaseGrant,
+    LeaseReply, LocalChannel, ShipReply, WorkerConfig, WorkerReport,
 };
 use ytaudit::net::{Request, Server, ServerConfig};
 use ytaudit::platform::clock::RealClock;
@@ -127,8 +127,16 @@ fn assert_converged(dest: &Path, reference_path: &Path, reference_bytes: &[u8], 
     );
     let merged = Store::open(dest).unwrap();
     let single = Store::open(reference_path).unwrap();
-    assert_eq!(merged.quota_units_total(), single.quota_units_total(), "{label}");
-    assert_eq!(merged.committed_pairs(), single.committed_pairs(), "{label}");
+    assert_eq!(
+        merged.quota_units_total(),
+        single.quota_units_total(),
+        "{label}"
+    );
+    assert_eq!(
+        merged.committed_pairs(),
+        single.committed_pairs(),
+        "{label}"
+    );
 }
 
 /// Coordinator dies while granting a lease (`dist.lease-grant` trips
@@ -154,10 +162,18 @@ fn kill_at_lease_grant_is_absorbed_by_worker_retry() {
     assert_eq!(report.committed, coord.plan().total_ranges());
     assert_eq!(report.duplicates, 0);
     // The failed grant recorded nothing: granted leases == ranges.
-    assert_eq!(coord.counters().leases_granted, coord.plan().total_ranges() as u64);
+    assert_eq!(
+        coord.counters().leases_granted,
+        coord.plan().total_ranges() as u64
+    );
 
     coord.merge().unwrap();
-    assert_converged(&dest, &dir.file("reference.yts"), &reference_bytes, "lease-grant kill");
+    assert_converged(
+        &dest,
+        &dir.file("reference.yts"),
+        &reference_bytes,
+        "lease-grant kill",
+    );
 }
 
 /// Worker dies between executing its range and shipping it
@@ -196,7 +212,12 @@ fn worker_killed_pre_ship_is_replaced_and_the_range_resumed() {
     assert!(coord.counters().leases_reissued >= 1);
 
     coord.merge().unwrap();
-    assert_converged(&dest, &dir.file("reference.yts"), &reference_bytes, "pre-ship kill");
+    assert_converged(
+        &dest,
+        &dir.file("reference.yts"),
+        &reference_bytes,
+        "pre-ship kill",
+    );
 }
 
 /// Coordinator dies after validating an upload but before the rename
@@ -240,7 +261,12 @@ fn coordinator_killed_pre_accept_restarts_and_converges() {
     assert_eq!(report.duplicates, 0);
 
     coord.merge().unwrap();
-    assert_converged(&dest, &dir.file("reference.yts"), &reference_bytes, "pre-accept kill");
+    assert_converged(
+        &dest,
+        &dir.file("reference.yts"),
+        &reference_bytes,
+        "pre-accept kill",
+    );
 }
 
 /// The non-fatal flavor of `dist.pre-accept`: the coordinator survives
@@ -265,7 +291,10 @@ fn transient_pre_accept_fault_is_absorbed_by_commit_retry() {
 
     assert_eq!(report.committed, coord.plan().total_ranges());
     assert_eq!(report.duplicates, 0);
-    assert_eq!(coord.counters().shards_received, coord.plan().total_ranges() as u64);
+    assert_eq!(
+        coord.counters().shards_received,
+        coord.plan().total_ranges() as u64
+    );
     assert_eq!(coord.counters().duplicate_ships, 0);
 
     coord.merge().unwrap();
@@ -396,10 +425,7 @@ fn synthetic_wire_kills_at_coordinator_faultpoints_recover_exactly_once() {
     let err = post(
         &chan,
         LEASE_PATH,
-        LeaseRequest {
-            worker: "w".into(),
-        }
-        .encode(),
+        LeaseRequest { worker: "w".into() }.encode(),
     )
     .unwrap_err();
     faultpoint::reset();
@@ -429,10 +455,7 @@ fn synthetic_wire_kills_at_coordinator_faultpoints_recover_exactly_once() {
         let body = post(
             &chan,
             LEASE_PATH,
-            LeaseRequest {
-                worker: "w".into(),
-            }
-            .encode(),
+            LeaseRequest { worker: "w".into() }.encode(),
         )
         .unwrap();
         match LeaseReply::decode(&body).unwrap() {
@@ -451,7 +474,10 @@ fn synthetic_wire_kills_at_coordinator_faultpoints_recover_exactly_once() {
 
     assert!(coord.all_committed());
     assert_eq!(coord.counters().duplicate_ships, 0);
-    assert_eq!(coord.counters().shards_received, coord.plan().total_ranges() as u64);
+    assert_eq!(
+        coord.counters().shards_received,
+        coord.plan().total_ranges() as u64
+    );
     coord.merge().unwrap();
     assert_eq!(
         std::fs::read(&dest).unwrap(),

@@ -30,8 +30,8 @@ use ytaudit::dist::protocol::{
     SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
 };
 use ytaudit::dist::{
-    run_worker, Coordinator, CoordinatorChannel, DistError, DistErrorKind, HttpChannel,
-    LeaseGrant, LeaseReply, LocalChannel, ShipReply, WorkerConfig, WorkerReport,
+    run_worker, Coordinator, CoordinatorChannel, DistError, DistErrorKind, HttpChannel, LeaseGrant,
+    LeaseReply, LocalChannel, ShipReply, WorkerConfig, WorkerReport,
 };
 use ytaudit::net::{Request, Server, ServerConfig};
 use ytaudit::platform::clock::RealClock;
@@ -285,11 +285,7 @@ fn wire_ship(
 
 /// A protocol-only worker: lease, ship the pre-built shard for the
 /// granted range, repeat until the coordinator reports the run done.
-fn synthetic_worker(
-    chan: &dyn CoordinatorChannel,
-    name: &str,
-    shards: &[Vec<u8>],
-) -> WorkerReport {
+fn synthetic_worker(chan: &dyn CoordinatorChannel, name: &str, shards: &[Vec<u8>]) -> WorkerReport {
     let mut report = WorkerReport::default();
     loop {
         let reply = post(
@@ -320,13 +316,14 @@ fn synthetic_worker(
 
 /// Builds the staged shard payloads for a 2-way split (range order:
 /// topic 0, topic 1, finish) and the matching single-sink reference.
-fn synthetic_fixture(dir: &TempDir, config: &CollectorConfig, seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+fn synthetic_fixture(
+    dir: &TempDir,
+    config: &CollectorConfig,
+    seed: u64,
+) -> (Vec<u8>, Vec<Vec<u8>>) {
     let reference = h::build_reference(&dir.file("synthetic-reference.yts"), config, seed);
     let staged = h::build_shards(&dir.file("staging.yts"), config, 2, seed);
-    let shards = staged
-        .iter()
-        .map(|p| std::fs::read(p).unwrap())
-        .collect();
+    let shards = staged.iter().map(|p| std::fs::read(p).unwrap()).collect();
     (reference, shards)
 }
 

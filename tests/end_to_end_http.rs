@@ -23,14 +23,8 @@ fn http_and_in_process_collections_are_identical() {
     let svc = service(0.15);
     let server = serve(Arc::clone(&svc), "127.0.0.1:0").expect("bind");
 
-    let in_process = YouTubeClient::new(
-        Box::new(InProcessTransport::new(Arc::clone(&svc))),
-        "key",
-    );
-    let over_http = YouTubeClient::new(
-        Box::new(HttpTransport::new(server.base_url())),
-        "key",
-    );
+    let in_process = YouTubeClient::new(Box::new(InProcessTransport::new(Arc::clone(&svc))), "key");
+    let over_http = YouTubeClient::new(Box::new(HttpTransport::new(server.base_url())), "key");
 
     let config = CollectorConfig {
         fetch_comments: false,
@@ -70,7 +64,10 @@ fn paginated_search_over_the_wire_respects_the_500_cap() {
     let mut seen = std::collections::HashSet::new();
     let mut previous: Option<Timestamp> = None;
     for item in &collection.items {
-        assert!(seen.insert(item.id.video_id.clone()), "duplicate across pages");
+        assert!(
+            seen.insert(item.id.video_id.clone()),
+            "duplicate across pages"
+        );
         let t = Timestamp::parse_rfc3339(&item.snippet.as_ref().unwrap().published_at).unwrap();
         if let Some(p) = previous {
             assert!(t <= p, "pages must keep the global date ordering");
@@ -93,9 +90,16 @@ fn server_clock_and_header_override_interact_correctly() {
     svc.clock().set(Timestamp::from_ymd(2025, 4, 30).unwrap());
     let at_end = client.search_page(&query, None).expect("page");
     let ids = |page: &ytaudit::api::resources::SearchListResponse| {
-        page.items.iter().map(|i| i.id.video_id.clone()).collect::<Vec<_>>()
+        page.items
+            .iter()
+            .map(|i| i.id.video_id.clone())
+            .collect::<Vec<_>>()
     };
-    assert_ne!(ids(&at_start), ids(&at_end), "moving the server clock changes results");
+    assert_ne!(
+        ids(&at_start),
+        ids(&at_end),
+        "moving the server clock changes results"
+    );
 
     // Pinning the client's sim time overrides the server clock entirely.
     client.set_sim_time(Some(Timestamp::from_ymd(2025, 2, 9).unwrap()));

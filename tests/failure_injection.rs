@@ -155,10 +155,14 @@ fn deleted_video_mid_audit_shows_up_as_attrition_not_error() {
         .clone();
     let when = deleted.deleted_at.unwrap();
     client.set_sim_time(Some(when + (-3600)));
-    let before = client.videos(std::slice::from_ref(&deleted.id)).expect("ok");
+    let before = client
+        .videos(std::slice::from_ref(&deleted.id))
+        .expect("ok");
     assert_eq!(before.len(), 1);
     client.set_sim_time(Some(when + 3600));
-    let after = client.videos(std::slice::from_ref(&deleted.id)).expect("ok");
+    let after = client
+        .videos(std::slice::from_ref(&deleted.id))
+        .expect("ok");
     assert!(after.is_empty(), "deleted videos are omitted, not errors");
 }
 
@@ -240,7 +244,9 @@ fn store_truncated_at_arbitrary_offset_keeps_every_committed_pair() {
     }
     let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
     for _ in 0..40 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         cuts.push(x % (file_len + 1));
     }
 
@@ -264,8 +270,7 @@ fn store_truncated_at_arbitrary_offset_keeps_every_committed_pair() {
                 if expected > 0 {
                     // Every surviving commit loads back intact.
                     let dataset = reopened.load_dataset().unwrap();
-                    let pairs: usize =
-                        dataset.snapshots.iter().map(|s| s.topics.len()).sum();
+                    let pairs: usize = dataset.snapshots.iter().map(|s| s.topics.len()).sum();
                     assert_eq!(pairs, expected, "cut at byte {cut}");
                 }
             }

@@ -12,7 +12,9 @@ fn audit_with_seed(seed: u64) -> ytaudit::core::AuditDataset {
         fetch_comments: false,
         ..CollectorConfig::quick(vec![Topic::Blm, Topic::Higgs, Topic::WorldCup], 6)
     };
-    Collector::new(&client, config).run().expect("collection succeeds")
+    Collector::new(&client, config)
+        .run()
+        .expect("collection succeeds")
 }
 
 #[test]
@@ -53,7 +55,10 @@ fn qualitative_findings_hold_across_seeds() {
         // Pool ordering: Higgs ≪ BLM; BLM caps.
         let pools = &report.table4;
         let pool = |t: Topic| pools.iter().find(|r| r.topic == t).unwrap().clone();
-        assert!(pool(Topic::Higgs).mean * 5 < pool(Topic::Blm).mean, "seed {seed}");
+        assert!(
+            pool(Topic::Higgs).mean * 5 < pool(Topic::Blm).mean,
+            "seed {seed}"
+        );
         // Regression. The topic effects are strong and must replicate at
         // any seed. The popularity effects (duration, likes) are *weak by
         // design* (pseudo-R² ≈ 0.08 in the paper) and also mechanically
