@@ -534,9 +534,8 @@ mod tests {
                 assert_eq!(xtx[(a, b)].to_bits(), batch_xtx[(a, b)].to_bits());
             }
         }
-        for j in 0..3 {
-            assert_eq!(acc.xty()[j].to_bits(), batch_xty[j].to_bits());
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(acc.xty()), bits(&batch_xty));
         assert_eq!(acc.count(), 15);
         assert!(acc.fold(&[1.0], 0.0).is_err());
     }

@@ -767,7 +767,7 @@ mod tests {
 
     #[test]
     fn observation_set_is_order_invariant() {
-        let x = vec![
+        let x = [
             vec![0.0],
             vec![1.0],
             vec![2.0],
@@ -775,7 +775,7 @@ mod tests {
             vec![1.5],
             vec![2.5],
         ];
-        let y = vec![0, 0, 1, 1, 2, 2];
+        let y = [0, 0, 1, 1, 2, 2];
         let mut forward = ObservationSet::new();
         for (row, &yi) in x.iter().zip(&y) {
             forward.fold(row, yi);

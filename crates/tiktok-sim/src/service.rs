@@ -595,22 +595,21 @@ mod tests {
         let walk = |svc: &TikTokService| {
             let mut ids = Vec::new();
             let mut cursor = 0u64;
-            let mut total = 0;
-            loop {
+            let total = loop {
                 let params = query_params(&q, start, end, cursor, 50);
                 let (status, body) =
                     svc.handle(Endpoint::Search, &params, Some(TEST_KEY), Some(now));
                 assert_eq!(status, 200, "{body}");
                 let data = parse(&body).data.expect("data");
                 ids.extend(data.videos.iter().map(|v| v.id.clone()));
-                total = data.total.expect("total");
+                let total = data.total.expect("total");
                 let next = data.cursor.expect("cursor");
                 if !data.has_more.expect("has_more") {
-                    break;
+                    break total;
                 }
                 assert!(next > cursor, "cursor must advance");
                 cursor = next;
-            }
+            };
             (ids, total)
         };
         let (ids_a, total_a) = walk(&service);
