@@ -89,7 +89,7 @@ fn api_call(service: &ApiService, req: &Request, endpoint: Endpoint) -> Response
     let mut params = Vec::new();
     for (k, v) in req.query.pairs() {
         if k == "key" {
-            api_key = Some(v.clone());
+            api_key = Some(v.as_str());
         } else {
             params.push((k.clone(), v.clone()));
         }
@@ -109,7 +109,7 @@ fn api_call(service: &ApiService, req: &Request, endpoint: Endpoint) -> Response
     };
     let (status, body) = service.handle(&ApiRequest {
         endpoint,
-        params,
+        params: &params,
         api_key,
         now_override,
     });

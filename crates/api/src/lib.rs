@@ -19,6 +19,7 @@ pub mod http;
 pub mod pagination;
 pub mod params;
 pub mod quota;
+mod render;
 pub mod resources;
 pub mod service;
 

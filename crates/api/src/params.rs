@@ -24,24 +24,24 @@ fn invalid(name: &str, detail: impl std::fmt::Display) -> Error {
 }
 
 /// Validates the `part` parameter: required, and every requested part must
-/// be one of `allowed`.
-pub fn parse_part(params: &RawParams, allowed: &[&str]) -> Result<Vec<String>> {
+/// be one of `allowed`. The parts borrow from `params`.
+pub fn parse_part<'a>(params: &'a RawParams, allowed: &[&str]) -> Result<Vec<&'a str>> {
     let raw = get(params, "part").ok_or_else(|| {
         Error::api(
             ApiErrorReason::InvalidParameter,
             "Required parameter 'part' is missing.",
         )
     })?;
-    let parts: Vec<String> = raw
+    let parts: Vec<&str> = raw
         .split(',')
-        .map(|p| p.trim().to_string())
+        .map(str::trim)
         .filter(|p| !p.is_empty())
         .collect();
     if parts.is_empty() {
         return Err(invalid("part", "no parts requested"));
     }
     for part in &parts {
-        if !allowed.contains(&part.as_str()) {
+        if !allowed.contains(part) {
             return Err(invalid("part", format!("unknown part {part:?}")));
         }
     }
@@ -76,17 +76,12 @@ fn parse_time(params: &RawParams, name: &str) -> Result<Option<Timestamp>> {
 }
 
 /// Comma-separated ID list (`id=a,b,c`), also accepting repeated `id`
-/// parameters the way the real API does.
-pub fn parse_id_list(params: &RawParams, name: &str) -> Result<Vec<String>> {
+/// parameters the way the real API does. The IDs borrow from `params`.
+pub fn parse_id_list<'a>(params: &'a RawParams, name: &str) -> Result<Vec<&'a str>> {
     let mut ids = Vec::new();
     for (k, v) in params.iter() {
         if k == name {
-            ids.extend(
-                v.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from),
-            );
+            ids.extend(v.split(',').map(str::trim).filter(|s| !s.is_empty()));
         }
     }
     if ids.is_empty() {
@@ -101,21 +96,22 @@ pub fn parse_id_list(params: &RawParams, name: &str) -> Result<Vec<String>> {
     Ok(ids)
 }
 
-/// The fully validated `Search: list` request.
+/// The fully validated `Search: list` request, borrowing its parts and
+/// page token from the raw parameters.
 #[derive(Debug, Clone)]
-pub struct SearchRequest {
+pub struct SearchRequest<'a> {
     /// Requested parts.
-    pub parts: Vec<String>,
+    pub parts: Vec<&'a str>,
     /// Sampler-facing parameters.
     pub search: SearchParams,
     /// Page size (1–50, default 5).
     pub max_results: u32,
     /// Raw page token.
-    pub page_token: Option<String>,
+    pub page_token: Option<&'a str>,
 }
 
 /// Parses and validates a search request.
-pub fn parse_search(params: &RawParams) -> Result<SearchRequest> {
+pub fn parse_search(params: &RawParams) -> Result<SearchRequest<'_>> {
     let parts = parse_part(params, &["id", "snippet"])?;
     let max_results = parse_max_results(params, 5, 50)?;
     let order = match get(params, "order") {
@@ -168,7 +164,7 @@ pub fn parse_search(params: &RawParams) -> Result<SearchRequest> {
             order,
         },
         max_results,
-        page_token: get(params, "pageToken").map(String::from),
+        page_token: get(params, "pageToken"),
     })
 }
 
@@ -267,14 +263,16 @@ mod tests {
 
     #[test]
     fn channel_only_search_is_allowed() {
-        let req = parse_search(&raw(&[("part", "id"), ("channelId", "UCabc")])).unwrap();
+        let params = raw(&[("part", "id"), ("channelId", "UCabc")]);
+        let req = parse_search(&params).unwrap();
         assert!(req.search.tokens.is_empty());
         assert_eq!(req.search.channel_id.unwrap().as_str(), "UCabc");
     }
 
     #[test]
     fn id_lists_parse_both_styles() {
-        let ids = parse_id_list(&raw(&[("id", "a,b"), ("id", "c")]), "id").unwrap();
+        let params = raw(&[("id", "a,b"), ("id", "c")]);
+        let ids = parse_id_list(&params, "id").unwrap();
         assert_eq!(ids, vec!["a", "b", "c"]);
         assert!(parse_id_list(&raw(&[]), "id").is_err());
         let many: Vec<(String, String)> = (0..51)

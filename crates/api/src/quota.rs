@@ -146,12 +146,21 @@ impl QuotaLedger {
     /// instant `now`.
     pub fn charge(&self, key: &str, endpoint: Endpoint, now: Timestamp) -> Charge {
         let mut keys = self.keys.lock();
-        let state = keys.entry(key.to_string()).or_insert(KeyState {
-            daily_limit: self.default_limit,
-            used_today: 0,
-            day: i64::MIN,
-            lifetime_used: 0,
-        });
+        // A known key is found by reference; only a new key is copied.
+        if !keys.contains_key(key) {
+            keys.insert(
+                key.to_string(),
+                KeyState {
+                    daily_limit: self.default_limit,
+                    used_today: 0,
+                    day: i64::MIN,
+                    lifetime_used: 0,
+                },
+            );
+        }
+        let Some(state) = keys.get_mut(key) else {
+            return Charge::Exceeded;
+        };
         let today = pacific_day(now);
         if state.day != today {
             state.day = today;

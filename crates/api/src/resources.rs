@@ -9,12 +9,16 @@
 //!   paper's Table 4 analyzes) and `resultsPerPage`;
 //! * search items nest the video ID under `id.videoId` while `Videos:
 //!   list` items carry a bare string `id`.
+//!
+//! These are the shapes clients decode responses into. The service does
+//! not build them: it writes each body straight from the platform's
+//! records with the same key order and omissions (see `render`).
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// `pageInfo` on every list response. `totalResults` is the noisy,
 /// 1M-capped pool estimate the paper studies in §5.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PageInfo {
     /// "The total number of results in the result set" (documented max
@@ -25,7 +29,7 @@ pub struct PageInfo {
 }
 
 /// `snippet` of a search result or playlist item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct Snippet {
     /// RFC 3339 upload instant.
@@ -43,7 +47,7 @@ pub struct Snippet {
 }
 
 /// The `id` object of a search result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchResultId {
     /// Always `youtube#video` here (`type=video` searches).
@@ -53,7 +57,7 @@ pub struct SearchResultId {
 }
 
 /// One `Search: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchResult {
     /// `youtube#searchResult`.
@@ -63,12 +67,11 @@ pub struct SearchResult {
     /// Nested ID object.
     pub id: SearchResultId,
     /// Snippet part (present when `part=snippet`).
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<Snippet>,
 }
 
 /// `Search: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchListResponse {
     /// `youtube#searchListResponse`.
@@ -76,10 +79,8 @@ pub struct SearchListResponse {
     /// Entity tag.
     pub etag: String,
     /// Token for the next page, when more results exist.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Token for the previous page.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub prev_page_token: Option<String>,
     /// Region the request was processed for.
     pub region_code: String,
@@ -90,7 +91,7 @@ pub struct SearchListResponse {
 }
 
 /// `contentDetails` of a video.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoContentDetails {
     /// ISO-8601 duration, e.g. `PT4M13S`.
@@ -100,21 +101,19 @@ pub struct VideoContentDetails {
 }
 
 /// `statistics` of a video — all counters are strings on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoStatistics {
     /// View count as a decimal string.
     pub view_count: String,
     /// Like count as a decimal string.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub like_count: Option<String>,
     /// Comment count as a decimal string.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub comment_count: Option<String>,
 }
 
 /// One `Videos: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoResource {
     /// `youtube#video`.
@@ -124,18 +123,15 @@ pub struct VideoResource {
     /// Bare video ID (unlike search results).
     pub id: String,
     /// Snippet part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<Snippet>,
     /// Content details part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub content_details: Option<VideoContentDetails>,
     /// Statistics part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub statistics: Option<VideoStatistics>,
 }
 
 /// `Videos: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoListResponse {
     /// `youtube#videoListResponse`.
@@ -143,7 +139,6 @@ pub struct VideoListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -153,7 +148,7 @@ pub struct VideoListResponse {
 }
 
 /// Channel `snippet`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelSnippet {
     /// Channel title.
@@ -165,7 +160,7 @@ pub struct ChannelSnippet {
 }
 
 /// Channel `statistics` — strings on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelStatistics {
     /// Total channel views.
@@ -179,7 +174,7 @@ pub struct ChannelStatistics {
 }
 
 /// `contentDetails.relatedPlaylists` of a channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct RelatedPlaylists {
     /// The uploads playlist (`UU…`) — the ID-based route to complete
@@ -188,7 +183,7 @@ pub struct RelatedPlaylists {
 }
 
 /// Channel `contentDetails`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelContentDetails {
     /// Related playlists (uploads).
@@ -196,7 +191,7 @@ pub struct ChannelContentDetails {
 }
 
 /// One `Channels: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelResource {
     /// `youtube#channel`.
@@ -206,18 +201,15 @@ pub struct ChannelResource {
     /// Channel ID.
     pub id: String,
     /// Snippet part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<ChannelSnippet>,
     /// Content details part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub content_details: Option<ChannelContentDetails>,
     /// Statistics part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub statistics: Option<ChannelStatistics>,
 }
 
 /// `Channels: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelListResponse {
     /// `youtube#channelListResponse`.
@@ -231,7 +223,7 @@ pub struct ChannelListResponse {
 }
 
 /// Playlist item `snippet.resourceId`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ResourceId {
     /// `youtube#video`.
@@ -241,7 +233,7 @@ pub struct ResourceId {
 }
 
 /// Playlist item snippet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemSnippet {
     /// Upload instant of the contained video.
@@ -259,7 +251,7 @@ pub struct PlaylistItemSnippet {
 }
 
 /// One `PlaylistItems: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemResource {
     /// `youtube#playlistItem`.
@@ -269,12 +261,11 @@ pub struct PlaylistItemResource {
     /// Playlist item ID.
     pub id: String,
     /// Snippet part.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<PlaylistItemSnippet>,
 }
 
 /// `PlaylistItems: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemListResponse {
     /// `youtube#playlistItemListResponse`.
@@ -282,7 +273,6 @@ pub struct PlaylistItemListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -291,7 +281,7 @@ pub struct PlaylistItemListResponse {
 }
 
 /// Comment snippet (shared by top-level comments and replies).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentSnippet {
     /// The video the comment is on.
@@ -305,12 +295,11 @@ pub struct CommentSnippet {
     /// Posting instant.
     pub published_at: String,
     /// Parent comment ID, for replies.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub parent_id: Option<String>,
 }
 
 /// A comment resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentResource {
     /// `youtube#comment`.
@@ -324,7 +313,7 @@ pub struct CommentResource {
 }
 
 /// `commentThread.snippet`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadSnippet {
     /// The video the thread is on.
@@ -339,7 +328,7 @@ pub struct CommentThreadSnippet {
 }
 
 /// Embedded replies of a comment thread (at most five).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadReplies {
     /// Up to five reply comments.
@@ -347,7 +336,7 @@ pub struct CommentThreadReplies {
 }
 
 /// One `CommentThreads: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadResource {
     /// `youtube#commentThread`.
@@ -359,12 +348,11 @@ pub struct CommentThreadResource {
     /// Snippet part.
     pub snippet: CommentThreadSnippet,
     /// Embedded replies, when any exist.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub replies: Option<CommentThreadReplies>,
 }
 
 /// `CommentThreads: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadListResponse {
     /// `youtube#commentThreadListResponse`.
@@ -372,7 +360,6 @@ pub struct CommentThreadListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -381,7 +368,7 @@ pub struct CommentThreadListResponse {
 }
 
 /// `Comments: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentListResponse {
     /// `youtube#commentListResponse`.
@@ -389,7 +376,6 @@ pub struct CommentListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -398,7 +384,7 @@ pub struct CommentListResponse {
 }
 
 /// One entry of the error envelope's `errors` array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ErrorItem {
     /// Human-readable message.
@@ -410,7 +396,7 @@ pub struct ErrorItem {
 }
 
 /// The inner error object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ErrorBody {
     /// HTTP status code.
@@ -422,12 +408,12 @@ pub struct ErrorBody {
     /// `Retry-After` hint in seconds, on shed (429) responses. The real
     /// API carries this as an HTTP header; the envelope mirrors it so
     /// in-process transports (which only see the body) get the hint too.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub retry_after_secs: Option<u64>,
 }
 
 /// The error envelope every failed Data API call returns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct ErrorResponse {
     /// The error payload.
     pub error: ErrorBody,
@@ -435,21 +421,83 @@ pub struct ErrorResponse {
 
 /// Computes a stable etag for a response body fragment.
 pub fn etag_for(content: &str) -> String {
-    let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in content.bytes() {
-        acc ^= u64::from(b);
-        acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("\"yt-sim-{acc:016x}\"")
+    crate::render::Etag::new().str(content).to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::{self, Etag, Parts};
+    use crate::service::error_response;
+    use ytaudit_types::json::JsonWriter;
+    use ytaudit_types::{
+        ApiErrorReason, Channel, ChannelId, ChannelStats, Comment, CommentId, Definition, Error,
+        IsoDuration, Timestamp, Video, VideoId, VideoStats,
+    };
+
+    fn video() -> Video {
+        Video {
+            id: VideoId::new("dQw4w9WgXcQ"),
+            channel_id: ChannelId::new("UCabc"),
+            title: "t".into(),
+            description: "d".into(),
+            terms: Vec::new(),
+            published_at: Timestamp::from_ymd_hms(2016, 6, 23, 12, 0, 0).unwrap(),
+            duration: IsoDuration::from_secs(253),
+            definition: Definition::Hd,
+            stats: VideoStats {
+                views: 12_345,
+                likes: 99,
+                comments: 7,
+            },
+            deleted_at: None,
+        }
+    }
+
+    fn channel() -> Channel {
+        Channel {
+            id: ChannelId::new("UCabc"),
+            title: "ct".into(),
+            published_at: Timestamp::from_ymd(2010, 1, 1).unwrap(),
+            stats: ChannelStats::default(),
+        }
+    }
 
     #[test]
     fn search_response_serializes_like_the_real_api() {
-        let resp = SearchListResponse {
+        let (video, channel) = (video(), channel());
+        let mut w = JsonWriter::default();
+        render::list_head(
+            &mut w,
+            "youtube#searchListResponse",
+            Etag::new().str("x"),
+            Some("CAUQAA"),
+            None,
+        );
+        w.key("regionCode").str("US");
+        render::page_info(&mut w, 1_000_000, 50);
+        w.key("items").begin_array().begin_object();
+        w.key("kind").str("youtube#searchResult");
+        Etag::new().str("item").write(&mut w);
+        w.key("id").begin_object();
+        w.key("kind").str("youtube#video");
+        w.key("videoId").str(video.id.as_str());
+        w.end_object();
+        render::video_snippet(&mut w, &video, Some(&channel));
+        w.end_object().end_array().end_object();
+        let body = w.into_string();
+
+        let json: serde_json::Value = serde_json::from_str(&body).unwrap();
+        assert_eq!(json["kind"], "youtube#searchListResponse");
+        assert_eq!(json["pageInfo"]["totalResults"], 1_000_000);
+        assert_eq!(json["items"][0]["id"]["videoId"], "dQw4w9WgXcQ");
+        assert_eq!(
+            json["items"][0]["snippet"]["publishedAt"],
+            "2016-06-23T12:00:00Z"
+        );
+        assert!(json.get("prevPageToken").is_none());
+        // The body decodes into the client's shape.
+        let expected = SearchListResponse {
             kind: "youtube#searchListResponse".into(),
             etag: etag_for("x"),
             next_page_token: Some("CAUQAA".into()),
@@ -476,51 +524,41 @@ mod tests {
                 }),
             }],
         };
-        let json = serde_json::to_value(&resp).unwrap();
-        assert_eq!(json["kind"], "youtube#searchListResponse");
-        assert_eq!(json["pageInfo"]["totalResults"], 1_000_000);
-        assert_eq!(json["items"][0]["id"]["videoId"], "dQw4w9WgXcQ");
-        assert_eq!(
-            json["items"][0]["snippet"]["publishedAt"],
-            "2016-06-23T12:00:00Z"
-        );
-        assert!(json.get("prevPageToken").is_none());
-        // Round trip.
-        let back: SearchListResponse = serde_json::from_value(json).unwrap();
-        assert_eq!(back, resp);
+        let back: SearchListResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(back, expected);
     }
 
     #[test]
     fn statistics_are_strings_on_the_wire() {
-        let stats = VideoStatistics {
-            view_count: "12345".into(),
-            like_count: Some("99".into()),
-            comment_count: None,
-        };
-        let json = serde_json::to_value(&stats).unwrap();
-        assert_eq!(json["viewCount"], "12345");
-        assert_eq!(json["likeCount"], "99");
-        assert!(json.get("commentCount").is_none());
+        let mut w = JsonWriter::default();
+        let parts = Parts::of(&["statistics"]);
+        render::video(&mut w, &video(), None, parts);
+        let body = w.into_string();
+        let json: serde_json::Value = serde_json::from_str(&body).unwrap();
+        assert_eq!(json["statistics"]["viewCount"], "12345");
+        assert_eq!(json["statistics"]["likeCount"], "99");
+        assert_eq!(json["statistics"]["commentCount"], "7");
+        assert!(
+            json.get("snippet").is_none(),
+            "unrequested parts are omitted"
+        );
+        assert!(json.get("contentDetails").is_none());
+        // A counter the API leaves out decodes as absent.
+        let stats: VideoStatistics = serde_json::from_str(r#"{"viewCount":"5"}"#).unwrap();
+        assert_eq!(stats.like_count, None);
+        assert_eq!(stats.comment_count, None);
     }
 
     #[test]
     fn error_envelope_shape() {
-        let err = ErrorResponse {
-            error: ErrorBody {
-                code: 403,
-                message: "The request cannot be completed because you have exceeded your quota."
-                    .into(),
-                errors: vec![ErrorItem {
-                    message: "quota exceeded".into(),
-                    domain: "youtube.quota".into(),
-                    reason: "quotaExceeded".into(),
-                }],
-                retry_after_secs: None,
-            },
-        };
-        let json = serde_json::to_string(&err).unwrap();
+        let (code, json) = error_response(&Error::api(
+            ApiErrorReason::QuotaExceeded,
+            "The request cannot be completed because you have exceeded your quota.",
+        ));
+        assert_eq!(code, 403);
         assert!(json.contains("\"code\":403"));
         assert!(json.contains("\"reason\":\"quotaExceeded\""));
+        assert!(json.contains("\"domain\":\"youtube.quota\""));
         assert!(!json.contains("retryAfterSecs"), "absent hint is omitted");
         let back: ErrorResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back.error.errors[0].reason, "quotaExceeded");
@@ -529,22 +567,16 @@ mod tests {
 
     #[test]
     fn error_envelope_carries_the_retry_after_hint() {
-        let err = ErrorResponse {
-            error: ErrorBody {
-                code: 429,
-                message: "shed".into(),
-                errors: vec![ErrorItem {
-                    message: "shed".into(),
-                    domain: "youtube.parameter".into(),
-                    reason: "rateLimitExceeded".into(),
-                }],
-                retry_after_secs: Some(3),
-            },
-        };
-        let json = serde_json::to_string(&err).unwrap();
+        let (code, json) = error_response(&Error::api_with_retry_after(
+            ApiErrorReason::RateLimited,
+            "shed",
+            3,
+        ));
+        assert_eq!(code, 429);
         assert!(json.contains("\"retryAfterSecs\":3"), "{json}");
         let back: ErrorResponse = serde_json::from_str(&json).unwrap();
         assert_eq!(back.error.retry_after_secs, Some(3));
+        assert_eq!(back.error.errors[0].reason, "rateLimitExceeded");
     }
 
     #[test]
@@ -556,43 +588,34 @@ mod tests {
 
     #[test]
     fn comment_thread_shape() {
-        let comment = CommentResource {
-            kind: "youtube#comment".into(),
-            etag: etag_for("c"),
-            id: "abc".into(),
-            snippet: CommentSnippet {
-                video_id: "vid".into(),
-                text_display: "first!".into(),
-                author_channel_id: "UCx".into(),
-                like_count: 3,
-                published_at: "2021-01-07T00:00:00Z".into(),
-                parent_id: None,
-            },
+        let top = Comment {
+            id: CommentId::new("abc"),
+            video_id: VideoId::new("vid"),
+            author_channel_id: ChannelId::new("UCx"),
+            text: "first!".into(),
+            published_at: Timestamp::from_ymd(2021, 1, 7).unwrap(),
+            like_count: 3,
         };
-        let thread = CommentThreadResource {
-            kind: "youtube#commentThread".into(),
-            etag: etag_for("t"),
-            id: "abc".into(),
-            snippet: CommentThreadSnippet {
-                video_id: "vid".into(),
-                top_level_comment: comment.clone(),
-                total_reply_count: 2,
-                can_reply: true,
-            },
-            replies: Some(CommentThreadReplies {
-                comments: vec![CommentResource {
-                    id: "abc.def".into(),
-                    snippet: CommentSnippet {
-                        parent_id: Some("abc".into()),
-                        ..comment.snippet.clone()
-                    },
-                    ..comment.clone()
-                }],
-            }),
+        let reply = Comment {
+            id: CommentId::new("abc.def"),
+            ..top.clone()
         };
-        let json = serde_json::to_value(&thread).unwrap();
+        let mut w = JsonWriter::default();
+        render::comment_thread(&mut w, "vid", &top, &[&reply, &reply]);
+        let body = w.into_string();
+        let json: serde_json::Value = serde_json::from_str(&body).unwrap();
         assert_eq!(json["snippet"]["topLevelComment"]["id"], "abc");
+        assert!(json["snippet"]["topLevelComment"]["snippet"]
+            .get("parentId")
+            .is_none());
         assert_eq!(json["replies"]["comments"][0]["snippet"]["parentId"], "abc");
         assert_eq!(json["snippet"]["totalReplyCount"], 2);
+        let back: CommentThreadResource = serde_json::from_str(&body).unwrap();
+        assert_eq!(back.etag, etag_for("abc"));
+        assert_eq!(back.replies.map(|r| r.comments.len()), Some(2));
+        // A thread without replies omits the `replies` part.
+        let mut w = JsonWriter::default();
+        render::comment_thread(&mut w, "vid", &top, &[]);
+        assert!(!w.into_string().contains("\"replies\""));
     }
 }

@@ -1,18 +1,16 @@
-//! The Data API service: quota, validation, dispatch, projection of
-//! platform records into wire resources, and fault injection.
+//! The Data API service: quota, validation, dispatch, rendering of
+//! platform records into wire bodies, and fault injection.
 
 use crate::pagination::paginate;
 use crate::params::{get, parse_id_list, parse_max_results, parse_part, parse_search, RawParams};
 use crate::quota::{Charge, Endpoint, QuotaLedger};
-use crate::resources::*;
+use crate::render::{self, Etag, Parts};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ytaudit_platform::hash::{hash_bytes, mix_all, unit_f64};
 use ytaudit_platform::{Platform, SimClock};
-use ytaudit_types::{
-    ApiErrorReason, Channel, ChannelId, Comment, CommentId, Error, PlaylistId, Result, Timestamp,
-    Video, VideoId,
-};
+use ytaudit_types::json::JsonWriter;
+use ytaudit_types::{ApiErrorReason, Error, PlaylistId, Result, Timestamp, Video};
 
 /// Fault-injection knobs.
 #[derive(Debug, Clone, Copy)]
@@ -36,17 +34,25 @@ impl Default for FaultConfig {
     }
 }
 
-/// A request as both transports (in-process and HTTP) present it.
-#[derive(Debug, Clone)]
-pub struct ApiRequest {
+/// A request as both transports (in-process and HTTP) present it. It
+/// borrows the caller's parameters and key for the length of the call.
+#[derive(Debug, Clone, Copy)]
+pub struct ApiRequest<'a> {
     /// Which endpoint is being called.
     pub endpoint: Endpoint,
-    /// Raw query parameters (decoded).
-    pub params: Vec<(String, String)>,
+    /// Raw query parameters (decoded), without the key.
+    pub params: &'a RawParams,
     /// The caller's API key (`key` query parameter).
-    pub api_key: Option<String>,
+    pub api_key: Option<&'a str>,
     /// Explicit simulated request time; `None` uses the service clock.
     pub now_override: Option<Timestamp>,
+}
+
+/// Bytes to reserve for a list response: its envelope plus `items` items
+/// of about `per_item` bytes each, so one allocation usually holds the
+/// whole body.
+fn body_capacity(items: usize, per_item: usize) -> usize {
+    256 + items * per_item
 }
 
 /// The simulated YouTube Data API v3.
@@ -93,16 +99,16 @@ impl ApiService {
     }
 
     /// Handles one request, returning the HTTP status and JSON body.
-    pub fn handle(&self, request: &ApiRequest) -> (u16, String) {
+    pub fn handle(&self, request: &ApiRequest<'_>) -> (u16, String) {
         match self.dispatch(request) {
             Ok(body) => (200, body),
             Err(err) => error_response(&err),
         }
     }
 
-    fn dispatch(&self, request: &ApiRequest) -> Result<String> {
+    fn dispatch(&self, request: &ApiRequest<'_>) -> Result<String> {
         let now = request.now_override.unwrap_or_else(|| self.clock.now());
-        let key = request.api_key.as_deref().ok_or_else(|| {
+        let key = request.api_key.ok_or_else(|| {
             Error::api(
                 ApiErrorReason::Forbidden,
                 "The request is missing a valid API key.",
@@ -133,29 +139,14 @@ impl ApiService {
                 ))
             }
         }
+        let params = request.params;
         match request.endpoint {
-            Endpoint::Search => self.search_list(&request.params, now),
-            Endpoint::Videos => self.videos_list(&request.params, now),
-            Endpoint::Channels => self.channels_list(&request.params),
-            Endpoint::PlaylistItems => self.playlist_items_list(&request.params, now),
-            Endpoint::CommentThreads => self.comment_threads_list(&request.params, now),
-            Endpoint::Comments => self.comments_list(&request.params, now),
-        }
-    }
-
-    fn snippet_for(&self, video: &Video) -> Snippet {
-        let channel_title = self
-            .platform
-            .channel(&video.channel_id)
-            .map(|c| c.title.clone())
-            .unwrap_or_default();
-        Snippet {
-            published_at: video.published_at.to_rfc3339(),
-            channel_id: video.channel_id.as_str().to_string(),
-            title: video.title.clone(),
-            description: video.description.clone(),
-            channel_title,
-            live_broadcast_content: "none".to_string(),
+            Endpoint::Search => self.search_list(params, now),
+            Endpoint::Videos => self.videos_list(params, now),
+            Endpoint::Channels => self.channels_list(params),
+            Endpoint::PlaylistItems => self.playlist_items_list(params, now),
+            Endpoint::CommentThreads => self.comment_threads_list(params, now),
+            Endpoint::Comments => self.comments_list(params, now),
         }
     }
 
@@ -173,141 +164,108 @@ impl ApiService {
         let mut page = paginate(
             reachable,
             request.max_results as usize,
-            request.page_token.as_deref(),
+            request.page_token,
             query_hash,
         )?;
         page.next = page.next.filter(|_| page.end < reachable);
-        let want_snippet = request.parts.iter().any(|p| p == "snippet");
-        let items: Vec<SearchResult> = outcome.video_ids[page.start..page.end]
-            .iter()
-            .map(|id| {
-                let snippet = if want_snippet {
-                    self.platform.video(id, now).map(|v| self.snippet_for(v))
-                } else {
-                    None
-                };
-                SearchResult {
-                    kind: "youtube#searchResult".into(),
-                    etag: etag_for(id.as_str()),
-                    id: SearchResultId {
-                        kind: "youtube#video".into(),
-                        video_id: id.as_str().to_string(),
-                    },
-                    snippet,
+        let want_snippet = request.parts.contains(&"snippet");
+        let ids = &outcome.video_ids[page.start..page.end];
+        let per_item = if want_snippet { 400 } else { 128 };
+        let mut w = JsonWriter::with_capacity(body_capacity(ids.len(), per_item));
+        let etag = Etag::new()
+            .str("search")
+            .num(query_hash)
+            .time(now)
+            .num(page.start as u64);
+        render::list_head(
+            &mut w,
+            "youtube#searchListResponse",
+            etag,
+            page.next.as_deref(),
+            page.prev.as_deref(),
+        );
+        w.key("regionCode").str("US");
+        render::page_info(
+            &mut w,
+            outcome.total_results,
+            u64::from(request.max_results),
+        );
+        w.key("items").begin_array();
+        for id in ids {
+            w.begin_object();
+            w.key("kind").str("youtube#searchResult");
+            Etag::new().str(id.as_str()).write(&mut w);
+            w.key("id").begin_object();
+            w.key("kind").str("youtube#video");
+            w.key("videoId").str(id.as_str());
+            w.end_object();
+            if want_snippet {
+                if let Some(video) = self.platform.video(id, now) {
+                    render::video_snippet(&mut w, video, self.platform.channel(&video.channel_id));
                 }
-            })
-            .collect();
-        let response = SearchListResponse {
-            kind: "youtube#searchListResponse".into(),
-            etag: etag_for(&format!("search{query_hash}{now}{}", page.start)),
-            next_page_token: page.next,
-            prev_page_token: page.prev,
-            region_code: "US".into(),
-            page_info: PageInfo {
-                total_results: outcome.total_results,
-                results_per_page: request.max_results,
-            },
-            items,
-        };
-        encode(&response)
+            }
+            w.end_object();
+        }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
 
     fn videos_list(&self, params: &RawParams, now: Timestamp) -> Result<String> {
         let parts = parse_part(params, &["id", "snippet", "contentDetails", "statistics"])?;
         let ids = parse_id_list(params, "id")?;
         let day = now.floor_day().as_secs() as u64;
-        let mut items = Vec::new();
-        for raw_id in &ids {
-            let id = VideoId::new(raw_id.clone());
-            let Some(video) = self.platform.video(&id, now) else {
-                continue; // unknown or deleted: silently omitted
-            };
-            // Non-systematic metadata misses (Figure 4): a fresh draw per
-            // (video, request day).
-            let miss = unit_f64(mix_all(&[hash_bytes(raw_id.as_bytes()), day, 0x4D495353]));
-            if miss < self.faults.metadata_miss_rate {
-                continue;
-            }
-            items.push(self.video_resource(video, &parts));
+        let videos: Vec<&Video> = ids
+            .iter()
+            .filter_map(|&raw_id| {
+                // Unknown or deleted: silently omitted.
+                let video = self.platform.video(raw_id, now)?;
+                // Non-systematic metadata misses (Figure 4): a fresh draw per
+                // (video, request day).
+                let miss = unit_f64(mix_all(&[hash_bytes(raw_id.as_bytes()), day, 0x4D495353]));
+                (miss >= self.faults.metadata_miss_rate).then_some(video)
+            })
+            .collect();
+        let etag = Etag::new().str("videos").joined(&ids);
+        let parts = Parts::of(&parts);
+        let mut w = JsonWriter::with_capacity(body_capacity(videos.len(), 512));
+        render::list_head(
+            &mut w,
+            "youtube#videoListResponse",
+            etag.time(now),
+            None,
+            None,
+        );
+        render::page_info(&mut w, videos.len() as u64, videos.len() as u64);
+        w.key("items").begin_array();
+        for video in videos {
+            let channel = self.platform.channel(&video.channel_id);
+            render::video(&mut w, video, channel, parts);
         }
-        let response = VideoListResponse {
-            kind: "youtube#videoListResponse".into(),
-            etag: etag_for(&format!("videos{}{}", ids.join(","), now)),
-            next_page_token: None,
-            page_info: PageInfo {
-                total_results: items.len() as u64,
-                results_per_page: items.len() as u32,
-            },
-            items,
-        };
-        encode(&response)
-    }
-
-    fn video_resource(&self, video: &Video, parts: &[String]) -> VideoResource {
-        let has = |p: &str| parts.iter().any(|x| x == p);
-        VideoResource {
-            kind: "youtube#video".into(),
-            etag: etag_for(video.id.as_str()),
-            id: video.id.as_str().to_string(),
-            snippet: has("snippet").then(|| self.snippet_for(video)),
-            content_details: has("contentDetails").then(|| VideoContentDetails {
-                duration: video.duration.format(),
-                definition: video.definition.as_str().to_string(),
-            }),
-            statistics: has("statistics").then(|| VideoStatistics {
-                view_count: video.stats.views.to_string(),
-                like_count: Some(video.stats.likes.to_string()),
-                comment_count: Some(video.stats.comments.to_string()),
-            }),
-        }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
 
     fn channels_list(&self, params: &RawParams) -> Result<String> {
         let parts = parse_part(params, &["id", "snippet", "contentDetails", "statistics"])?;
         let ids = parse_id_list(params, "id")?;
-        let has = |p: &str| parts.iter().any(|x| x == p);
-        let mut items = Vec::new();
-        for raw_id in &ids {
-            let id = ChannelId::new(raw_id.clone());
-            let Some(channel) = self.platform.channel(&id) else {
-                continue;
-            };
-            items.push(self.channel_resource(channel, &has));
+        let channels: Vec<_> = ids
+            .iter()
+            .filter_map(|&id| self.platform.channel(id))
+            .collect();
+        let etag = Etag::new().str("channels").joined(&ids);
+        let parts = Parts::of(&parts);
+        let mut w = JsonWriter::with_capacity(body_capacity(channels.len(), 448));
+        render::list_head(&mut w, "youtube#channelListResponse", etag, None, None);
+        render::page_info(&mut w, channels.len() as u64, channels.len() as u64);
+        w.key("items").begin_array();
+        for channel in channels {
+            render::channel(&mut w, channel, parts);
         }
-        let response = ChannelListResponse {
-            kind: "youtube#channelListResponse".into(),
-            etag: etag_for(&format!("channels{}", ids.join(","))),
-            page_info: PageInfo {
-                total_results: items.len() as u64,
-                results_per_page: items.len() as u32,
-            },
-            items,
-        };
-        encode(&response)
-    }
-
-    fn channel_resource(&self, channel: &Channel, has: &dyn Fn(&str) -> bool) -> ChannelResource {
-        ChannelResource {
-            kind: "youtube#channel".into(),
-            etag: etag_for(channel.id.as_str()),
-            id: channel.id.as_str().to_string(),
-            snippet: has("snippet").then(|| ChannelSnippet {
-                title: channel.title.clone(),
-                description: String::new(),
-                published_at: channel.published_at.to_rfc3339(),
-            }),
-            content_details: has("contentDetails").then(|| ChannelContentDetails {
-                related_playlists: RelatedPlaylists {
-                    uploads: channel.id.uploads_playlist().as_str().to_string(),
-                },
-            }),
-            statistics: has("statistics").then(|| ChannelStatistics {
-                view_count: channel.stats.views.to_string(),
-                subscriber_count: channel.stats.subscribers.to_string(),
-                hidden_subscriber_count: false,
-                video_count: channel.stats.video_count.to_string(),
-            }),
-        }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
 
     fn playlist_items_list(&self, params: &RawParams, now: Timestamp) -> Result<String> {
@@ -333,57 +291,28 @@ impl ApiService {
             get(params, "pageToken"),
             query_hash,
         )?;
-        let want_snippet = parts.iter().any(|p| p == "snippet");
-        let items: Vec<PlaylistItemResource> = videos[page.start..page.end]
-            .iter()
-            .enumerate()
-            .map(|(offset, video)| {
-                let position = (page.start + offset) as u32;
-                PlaylistItemResource {
-                    kind: "youtube#playlistItem".into(),
-                    etag: etag_for(&format!("{}#{position}", video.id)),
-                    id: format!("PLI-{}-{position}", video.id),
-                    snippet: want_snippet.then(|| PlaylistItemSnippet {
-                        published_at: video.published_at.to_rfc3339(),
-                        channel_id: video.channel_id.as_str().to_string(),
-                        title: video.title.clone(),
-                        playlist_id: playlist_raw.to_string(),
-                        position,
-                        resource_id: ResourceId {
-                            kind: "youtube#video".into(),
-                            video_id: video.id.as_str().to_string(),
-                        },
-                    }),
-                }
-            })
-            .collect();
-        let response = PlaylistItemListResponse {
-            kind: "youtube#playlistItemListResponse".into(),
-            etag: etag_for(&format!("pli{playlist_raw}{}", page.start)),
-            next_page_token: page.next,
-            page_info: PageInfo {
-                total_results: videos.len() as u64,
-                results_per_page: max_results,
-            },
-            items,
-        };
-        encode(&response)
-    }
-
-    fn comment_resource(&self, comment: &Comment) -> CommentResource {
-        CommentResource {
-            kind: "youtube#comment".into(),
-            etag: etag_for(comment.id.as_str()),
-            id: comment.id.as_str().to_string(),
-            snippet: CommentSnippet {
-                video_id: comment.video_id.as_str().to_string(),
-                text_display: comment.text.clone(),
-                author_channel_id: comment.author_channel_id.as_str().to_string(),
-                like_count: comment.like_count,
-                published_at: comment.published_at.to_rfc3339(),
-                parent_id: comment.id.parent().map(|p| p.as_str().to_string()),
-            },
+        let want_snippet = parts.contains(&"snippet");
+        let page_videos = &videos[page.start..page.end];
+        let mut w = JsonWriter::with_capacity(body_capacity(page_videos.len(), 448));
+        let etag = Etag::new()
+            .str("pli")
+            .str(playlist_raw)
+            .num(page.start as u64);
+        render::list_head(
+            &mut w,
+            "youtube#playlistItemListResponse",
+            etag,
+            page.next.as_deref(),
+            None,
+        );
+        render::page_info(&mut w, videos.len() as u64, u64::from(max_results));
+        w.key("items").begin_array();
+        for (position, video) in (page.start as u64..).zip(page_videos) {
+            render::playlist_item(&mut w, video, playlist_raw, position, want_snippet);
         }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
 
     fn comment_threads_list(&self, params: &RawParams, now: Timestamp) -> Result<String> {
@@ -395,14 +324,13 @@ impl ApiService {
             )
         })?;
         let max_results = parse_max_results(params, 20, 100)?;
-        let video_id = VideoId::new(video_raw);
-        if self.platform.video(&video_id, now).is_none() {
+        if self.platform.video(video_raw, now).is_none() {
             return Err(Error::api(
                 ApiErrorReason::NotFound,
                 format!("The video identified by the request's videoId parameter cannot be found: {video_raw:?}"),
             ));
         }
-        let threads = self.platform.comment_threads(&video_id, now);
+        let threads = self.platform.comment_threads(video_raw, now);
         let query_hash = hash_bytes(video_raw.as_bytes());
         let page = paginate(
             threads.len(),
@@ -410,41 +338,24 @@ impl ApiService {
             get(params, "pageToken"),
             query_hash,
         )?;
-        let items: Vec<CommentThreadResource> = threads[page.start..page.end]
-            .iter()
-            .map(|thread| {
-                let replies = (!thread.replies.is_empty()).then(|| CommentThreadReplies {
-                    comments: thread
-                        .replies
-                        .iter()
-                        .map(|r| self.comment_resource(r))
-                        .collect(),
-                });
-                CommentThreadResource {
-                    kind: "youtube#commentThread".into(),
-                    etag: etag_for(thread.top_level.id.as_str()),
-                    id: thread.top_level.id.as_str().to_string(),
-                    snippet: CommentThreadSnippet {
-                        video_id: video_raw.to_string(),
-                        top_level_comment: self.comment_resource(thread.top_level),
-                        total_reply_count: thread.replies.len() as u64,
-                        can_reply: true,
-                    },
-                    replies,
-                }
-            })
-            .collect();
-        let response = CommentThreadListResponse {
-            kind: "youtube#commentThreadListResponse".into(),
-            etag: etag_for(&format!("ct{video_raw}{}", page.start)),
-            next_page_token: page.next,
-            page_info: PageInfo {
-                total_results: threads.len() as u64,
-                results_per_page: max_results,
-            },
-            items,
-        };
-        encode(&response)
+        let page_threads = &threads[page.start..page.end];
+        let mut w = JsonWriter::with_capacity(body_capacity(page_threads.len(), 1024));
+        let etag = Etag::new().str("ct").str(video_raw).num(page.start as u64);
+        render::list_head(
+            &mut w,
+            "youtube#commentThreadListResponse",
+            etag,
+            page.next.as_deref(),
+            None,
+        );
+        render::page_info(&mut w, threads.len() as u64, u64::from(max_results));
+        w.key("items").begin_array();
+        for thread in page_threads {
+            render::comment_thread(&mut w, video_raw, thread.top_level, &thread.replies);
+        }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
 
     fn comments_list(&self, params: &RawParams, now: Timestamp) -> Result<String> {
@@ -456,14 +367,13 @@ impl ApiService {
             )
         })?;
         let max_results = parse_max_results(params, 20, 100)?;
-        let parent = CommentId::new(parent_raw);
-        if self.platform.comment(&parent, now).is_none() {
+        if self.platform.comment(parent_raw, now).is_none() {
             return Err(Error::api(
                 ApiErrorReason::NotFound,
                 format!("The comment identified by the request's parentId parameter cannot be found: {parent_raw:?}"),
             ));
         }
-        let replies = self.platform.comments_by_parent(&parent, now);
+        let replies = self.platform.comments_by_parent(parent_raw, now);
         let query_hash = hash_bytes(parent_raw.as_bytes());
         let page = paginate(
             replies.len(),
@@ -471,60 +381,62 @@ impl ApiService {
             get(params, "pageToken"),
             query_hash,
         )?;
-        let items: Vec<CommentResource> = replies[page.start..page.end]
-            .iter()
-            .map(|c| self.comment_resource(c))
-            .collect();
-        let response = CommentListResponse {
-            kind: "youtube#commentListResponse".into(),
-            etag: etag_for(&format!("cm{parent_raw}{}", page.start)),
-            next_page_token: page.next,
-            page_info: PageInfo {
-                total_results: replies.len() as u64,
-                results_per_page: max_results,
-            },
-            items,
-        };
-        encode(&response)
+        let page_replies = &replies[page.start..page.end];
+        let mut w = JsonWriter::with_capacity(body_capacity(page_replies.len(), 512));
+        let etag = Etag::new().str("cm").str(parent_raw).num(page.start as u64);
+        render::list_head(
+            &mut w,
+            "youtube#commentListResponse",
+            etag,
+            page.next.as_deref(),
+            None,
+        );
+        render::page_info(&mut w, replies.len() as u64, u64::from(max_results));
+        w.key("items").begin_array();
+        for reply in page_replies {
+            render::comment(&mut w, reply);
+        }
+        w.end_array();
+        w.end_object();
+        Ok(w.into_string())
     }
-}
-
-fn encode<T: serde::Serialize>(value: &T) -> Result<String> {
-    serde_json::to_string(value).map_err(|e| Error::Decode(e.to_string()))
 }
 
 /// Renders an error as the (status, JSON envelope) pair the wire carries.
 pub fn error_response(err: &Error) -> (u16, String) {
-    let (code, reason, message) = match err {
+    let retry_after_secs = err.retry_after_secs();
+    let (code, body) = match err {
         Error::Api {
             reason, message, ..
-        } => (reason.http_status(), reason.as_str(), message.clone()),
-        other => (500, "backendError", other.to_string()),
+        } => {
+            let domain = match reason {
+                ApiErrorReason::QuotaExceeded => "youtube.quota",
+                _ => "youtube.parameter",
+            };
+            let code = reason.http_status();
+            let body =
+                render::error_envelope(code, message, domain, reason.as_str(), retry_after_secs);
+            (code, body)
+        }
+        other => {
+            let message = other.to_string();
+            let body = render::error_envelope(
+                500,
+                &message,
+                "youtube.parameter",
+                "backendError",
+                retry_after_secs,
+            );
+            (500, body)
+        }
     };
-    let envelope = ErrorResponse {
-        error: ErrorBody {
-            code,
-            message: message.clone(),
-            errors: vec![ErrorItem {
-                message,
-                domain: match reason {
-                    "quotaExceeded" => "youtube.quota".to_string(),
-                    _ => "youtube.parameter".to_string(),
-                },
-                reason: reason.to_string(),
-            }],
-            retry_after_secs: err.retry_after_secs(),
-        },
-    };
-    (
-        code,
-        serde_json::to_string(&envelope).unwrap_or_else(|_| "{}".to_string()),
-    )
+    (code, body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::*;
     use ytaudit_types::Topic;
 
     fn service() -> ApiService {
@@ -539,8 +451,32 @@ mod tests {
             .collect()
     }
 
-    fn request(endpoint: Endpoint, pairs: &[(&str, &str)]) -> ApiRequest {
-        ApiRequest {
+    /// An owned request, lent to the service as an `ApiRequest`.
+    #[derive(Clone)]
+    struct Req {
+        endpoint: Endpoint,
+        params: Vec<(String, String)>,
+        api_key: Option<String>,
+        now_override: Option<Timestamp>,
+    }
+
+    impl Req {
+        fn send(&self, svc: &ApiService) -> (u16, String) {
+            svc.handle(&ApiRequest {
+                endpoint: self.endpoint,
+                params: &self.params,
+                api_key: self.api_key.as_deref(),
+                now_override: self.now_override,
+            })
+        }
+    }
+
+    fn send(svc: &ApiService, req: Req) -> (u16, String) {
+        req.send(svc)
+    }
+
+    fn request(endpoint: Endpoint, pairs: &[(&str, &str)]) -> Req {
+        Req {
             endpoint,
             params: raw(pairs),
             api_key: Some("test-key".into()),
@@ -568,7 +504,7 @@ mod tests {
                 ("publishedBefore", &Topic::Grammys.window_end().to_rfc3339()),
             ],
         );
-        let (status, body) = svc.handle(&req);
+        let (status, body) = req.send(&svc);
         assert_eq!(status, 200, "{body}");
         let parsed: SearchListResponse = serde_json::from_str(&body).unwrap();
         assert!(!parsed.items.is_empty());
@@ -585,10 +521,11 @@ mod tests {
         while let Some(t) = token {
             let mut pairs = req.params.clone();
             pairs.push(("pageToken".into(), t));
-            let (status, body) = svc.handle(&ApiRequest {
+            let (status, body) = (Req {
                 params: pairs,
                 ..req.clone()
-            });
+            })
+            .send(&svc);
             assert_eq!(status, 200, "{body}");
             let page: SearchListResponse = serde_json::from_str(&body).unwrap();
             total += page.items.len();
@@ -603,7 +540,7 @@ mod tests {
         let svc = service();
         let mut req = request(Endpoint::Videos, &[("part", "snippet"), ("id", "abc")]);
         req.api_key = None;
-        let (status, body) = svc.handle(&req);
+        let (status, body) = req.send(&svc);
         assert_eq!(status, 403);
         assert!(body.contains("forbidden"));
     }
@@ -614,10 +551,10 @@ mod tests {
         let pairs = [("part", "id"), ("q", "higgs boson"), ("type", "video")];
         // Default quota: 100 searches.
         for _ in 0..100 {
-            let (status, _) = svc.handle(&request(Endpoint::Search, &pairs));
+            let (status, _) = send(&svc, request(Endpoint::Search, &pairs));
             assert_eq!(status, 200);
         }
-        let (status, body) = svc.handle(&request(Endpoint::Search, &pairs));
+        let (status, body) = send(&svc, request(Endpoint::Search, &pairs));
         assert_eq!(status, 403);
         let err: ErrorResponse = serde_json::from_str(&body).unwrap();
         assert_eq!(err.error.errors[0].reason, "quotaExceeded");
@@ -635,7 +572,7 @@ mod tests {
                 ("id", video.id.as_str()),
             ],
         );
-        let (status, body) = svc.handle(&req);
+        let (status, body) = req.send(&svc);
         assert_eq!(status, 200, "{body}");
         let parsed: VideoListResponse = serde_json::from_str(&body).unwrap();
         // Either returned in full, or (rarely) hit the metadata-miss
@@ -644,10 +581,11 @@ mod tests {
         let item = if parsed.items.is_empty() {
             let mut alt = None;
             for day in 1..10 {
-                let (s2, b2) = svc.handle(&ApiRequest {
+                let (s2, b2) = (Req {
                     now_override: Some(svc.clock().now().add_days(day)),
                     ..req.clone()
-                });
+                })
+                .send(&svc);
                 assert_eq!(s2, 200);
                 let p2: VideoListResponse = serde_json::from_str(&b2).unwrap();
                 if let Some(first) = p2.items.into_iter().next() {
@@ -677,10 +615,13 @@ mod tests {
     #[test]
     fn unknown_video_ids_are_omitted_not_errors() {
         let svc = service();
-        let (status, body) = svc.handle(&request(
-            Endpoint::Videos,
-            &[("part", "id"), ("id", "doesnotexist00")],
-        ));
+        let (status, body) = send(
+            &svc,
+            request(
+                Endpoint::Videos,
+                &[("part", "id"), ("id", "doesnotexist00")],
+            ),
+        );
         assert_eq!(status, 200);
         let parsed: VideoListResponse = serde_json::from_str(&body).unwrap();
         assert!(parsed.items.is_empty());
@@ -690,13 +631,16 @@ mod tests {
     fn channels_and_uploads_pipeline() {
         let svc = service();
         let channel = svc.platform().corpus().channels[0].clone();
-        let (status, body) = svc.handle(&request(
-            Endpoint::Channels,
-            &[
-                ("part", "snippet,contentDetails,statistics"),
-                ("id", channel.id.as_str()),
-            ],
-        ));
+        let (status, body) = send(
+            &svc,
+            request(
+                Endpoint::Channels,
+                &[
+                    ("part", "snippet,contentDetails,statistics"),
+                    ("id", channel.id.as_str()),
+                ],
+            ),
+        );
         assert_eq!(status, 200, "{body}");
         let parsed: ChannelListResponse = serde_json::from_str(&body).unwrap();
         let uploads = parsed.items[0]
@@ -708,14 +652,17 @@ mod tests {
             .clone();
         assert!(uploads.starts_with("UU"));
         // Now page through the uploads playlist.
-        let (status, body) = svc.handle(&request(
-            Endpoint::PlaylistItems,
-            &[
-                ("part", "snippet"),
-                ("playlistId", &uploads),
-                ("maxResults", "50"),
-            ],
-        ));
+        let (status, body) = send(
+            &svc,
+            request(
+                Endpoint::PlaylistItems,
+                &[
+                    ("part", "snippet"),
+                    ("playlistId", &uploads),
+                    ("maxResults", "50"),
+                ],
+            ),
+        );
         assert_eq!(status, 200, "{body}");
         let items: PlaylistItemListResponse = serde_json::from_str(&body).unwrap();
         for item in &items.items {
@@ -729,10 +676,13 @@ mod tests {
     #[test]
     fn unknown_playlist_is_404() {
         let svc = service();
-        let (status, body) = svc.handle(&request(
-            Endpoint::PlaylistItems,
-            &[("part", "snippet"), ("playlistId", "UUnope")],
-        ));
+        let (status, body) = send(
+            &svc,
+            request(
+                Endpoint::PlaylistItems,
+                &[("part", "snippet"), ("playlistId", "UUnope")],
+            ),
+        );
         assert_eq!(status, 404);
         assert!(body.contains("notFound"));
     }
@@ -755,7 +705,7 @@ mod tests {
             .expect("some video has threads")
             .clone();
         let now_override = Some(svc.clock().now().add_days(60));
-        let (status, body) = svc.handle(&ApiRequest {
+        let (status, body) = (Req {
             now_override,
             ..request(
                 Endpoint::CommentThreads,
@@ -765,7 +715,8 @@ mod tests {
                     ("maxResults", "100"),
                 ],
             )
-        });
+        })
+        .send(&svc);
         assert_eq!(status, 200, "{body}");
         let parsed: CommentThreadListResponse = serde_json::from_str(&body).unwrap();
         assert!(!parsed.items.is_empty());
@@ -774,7 +725,7 @@ mod tests {
             if let Some(replies) = &thread.replies {
                 assert!(replies.comments.len() <= 5);
                 // Comments: list agrees with the embedded replies.
-                let (status, body) = svc.handle(&ApiRequest {
+                let (status, body) = (Req {
                     now_override,
                     ..request(
                         Endpoint::Comments,
@@ -784,7 +735,8 @@ mod tests {
                             ("maxResults", "100"),
                         ],
                     )
-                });
+                })
+                .send(&svc);
                 assert_eq!(status, 200);
                 let listed: CommentListResponse = serde_json::from_str(&body).unwrap();
                 assert_eq!(listed.items.len(), replies.comments.len());
@@ -805,7 +757,7 @@ mod tests {
         let mut saw_500 = false;
         let mut saw_200 = false;
         for _ in 0..64 {
-            let (status, _) = svc.handle(&req);
+            let (status, _) = req.send(&svc);
             match status {
                 500 => saw_500 = true,
                 200 => saw_200 = true,
@@ -818,15 +770,18 @@ mod tests {
     #[test]
     fn invalid_page_token_is_rejected() {
         let svc = service();
-        let (status, body) = svc.handle(&request(
-            Endpoint::Search,
-            &[
-                ("part", "id"),
-                ("q", "higgs boson"),
-                ("type", "video"),
-                ("pageToken", "garbage"),
-            ],
-        ));
+        let (status, body) = send(
+            &svc,
+            request(
+                Endpoint::Search,
+                &[
+                    ("part", "id"),
+                    ("q", "higgs boson"),
+                    ("type", "video"),
+                    ("pageToken", "garbage"),
+                ],
+            ),
+        );
         assert_eq!(status, 400);
         assert!(body.contains("invalidPageToken"));
     }

@@ -79,8 +79,8 @@ impl Transport for InProcessTransport {
     ) -> Result<(u16, String)> {
         Ok(self.service.handle(&ApiRequest {
             endpoint,
-            params: params.to_vec(),
-            api_key: Some(api_key.to_string()),
+            params,
+            api_key: Some(api_key),
             now_override: now,
         }))
     }

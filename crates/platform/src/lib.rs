@@ -21,6 +21,7 @@ pub mod faultpoint;
 pub mod hash;
 pub mod search;
 pub mod serp;
+mod threads;
 
 pub use clock::SimClock;
 pub use corpus::{Corpus, CorpusConfig, TopicCorpus};
@@ -30,7 +31,10 @@ pub use search::{
 };
 
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use threads::{posted_by, ThreadIndex};
 use ytaudit_types::time::HOUR;
 use ytaudit_types::{
     Channel, ChannelId, Comment, CommentId, PlaylistId, Timestamp, Topic, Video, VideoId,
@@ -55,8 +59,9 @@ pub struct Platform {
     channel_topic: HashMap<ChannelId, usize>,
     by_hour: BTreeMap<i64, Vec<(usize, usize)>>, // hour-since-epoch → refs
     by_channel: HashMap<ChannelId, Vec<(usize, usize)>>, // date-desc
-    comments_by_video: HashMap<VideoId, Vec<usize>>,
-    comment_index: HashMap<CommentId, usize>,
+    /// Corpus position of each topic's first video.
+    topic_offset: Vec<usize>,
+    threads: ThreadIndex,
     match_fraction_cache: Mutex<HashMap<(usize, String), f64>>,
 }
 
@@ -110,15 +115,17 @@ impl Platform {
                 channel_topic.insert(channel.id.clone(), ti);
             }
         }
-        let mut comments_by_video: HashMap<VideoId, Vec<usize>> = HashMap::new();
-        let mut comment_index = HashMap::new();
-        for (ci, comment) in corpus.comments.iter().enumerate() {
-            comments_by_video
-                .entry(comment.video_id.clone())
-                .or_default()
-                .push(ci);
-            comment_index.insert(comment.id.clone(), ci);
+        let mut topic_offset = Vec::with_capacity(corpus.topics.len());
+        let mut video_count = 0;
+        for tc in &corpus.topics {
+            topic_offset.push(video_count);
+            video_count += tc.videos.len();
         }
+        let threads = ThreadIndex::build(&corpus.comments, video_count, |id| {
+            video_index
+                .get(id)
+                .and_then(|&(ti, vi)| Some(topic_offset.get(ti)? + vi))
+        });
         Platform {
             corpus,
             engine,
@@ -127,8 +134,8 @@ impl Platform {
             channel_topic,
             by_hour,
             by_channel,
-            comments_by_video,
-            comment_index,
+            topic_offset,
+            threads,
             match_fraction_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -218,7 +225,7 @@ impl Platform {
             |v| {
                 self.channel_index
                     .get(&v.channel_id)
-                    .map(|&ci| self.corpus.channels[ci].clone())
+                    .map(|&ci| &self.corpus.channels[ci])
             },
             match_fraction,
             now,
@@ -277,8 +284,13 @@ impl Platform {
 
     // --- ID-based endpoints (stable, per Appendix B) ---
 
-    /// Looks up a video by ID, honouring deletion at `now`.
-    pub fn video(&self, id: &VideoId, now: Timestamp) -> Option<&Video> {
+    /// Looks up a video by ID (a `&VideoId` or the raw `&str`),
+    /// honouring deletion at `now`.
+    pub fn video<Q>(&self, id: &Q, now: Timestamp) -> Option<&Video>
+    where
+        VideoId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.video_index.get(id).and_then(|&(ti, vi)| {
             let v = &self.corpus.topics[ti].videos[vi];
             v.visible_at(now).then_some(v)
@@ -292,8 +304,12 @@ impl Platform {
             .map(|&(ti, _)| self.corpus.topics[ti].topic)
     }
 
-    /// Looks up a channel by ID.
-    pub fn channel(&self, id: &ChannelId) -> Option<&Channel> {
+    /// Looks up a channel by ID (a `&ChannelId` or the raw `&str`).
+    pub fn channel<Q>(&self, id: &Q) -> Option<&Channel>
+    where
+        ChannelId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.channel_index
             .get(id)
             .map(|&ci| &self.corpus.channels[ci])
@@ -320,42 +336,31 @@ impl Platform {
 
     /// Comment threads for a video: top-level comments (oldest first) with
     /// up to five nested replies each. Empty when the video is deleted.
-    pub fn comment_threads(&self, video_id: &VideoId, now: Timestamp) -> Vec<CommentThread<'_>> {
-        if self.video(video_id, now).is_none() {
-            return Vec::new();
-        }
-        let Some(indices) = self.comments_by_video.get(video_id) else {
+    pub fn comment_threads<Q>(&self, video_id: &Q, now: Timestamp) -> Vec<CommentThread<'_>>
+    where
+        VideoId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let Some(&(ti, vi)) = self.video_index.get(video_id) else {
             return Vec::new();
         };
-        let mut tops: Vec<&Comment> = Vec::new();
-        let mut replies: HashMap<CommentId, Vec<&Comment>> = HashMap::new();
-        for &ci in indices {
-            let comment = &self.corpus.comments[ci];
-            if comment.published_at > now {
-                continue;
-            }
-            match comment.id.parent() {
-                Some(parent) => replies.entry(parent).or_default().push(comment),
-                None => tops.push(comment),
-            }
+        let video = &self.corpus.topics[ti].videos[vi];
+        if !video.visible_at(now) {
+            return Vec::new();
         }
-        tops.sort_by(|a, b| {
-            a.published_at
-                .cmp(&b.published_at)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        tops.into_iter()
-            .map(|top| {
-                let mut thread_replies = replies.remove(&top.id).unwrap_or_default();
-                thread_replies.sort_by(|a, b| {
-                    a.published_at
-                        .cmp(&b.published_at)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                thread_replies.truncate(5);
+        let comments = &self.corpus.comments;
+        let (threads, tops) = self.threads.video_threads(self.topic_offset[ti] + vi);
+        threads
+            .zip(posted_by(comments, tops, now))
+            .map(|(thread, &top)| {
+                let replies = posted_by(comments, self.threads.thread_replies(thread), now);
                 CommentThread {
-                    top_level: top,
-                    replies: thread_replies,
+                    top_level: &comments[top as usize],
+                    replies: replies
+                        .iter()
+                        .take(5)
+                        .map(|&ci| &comments[ci as usize])
+                        .collect(),
                 }
             })
             .collect()
@@ -363,33 +368,34 @@ impl Platform {
 
     /// All replies to a top-level comment (the `Comments: list`
     /// `parentId` query).
-    pub fn comments_by_parent(&self, parent: &CommentId, now: Timestamp) -> Vec<&Comment> {
-        let Some(&ci) = self.comment_index.get(parent) else {
-            return Vec::new();
-        };
-        let video_id = &self.corpus.comments[ci].video_id;
-        let Some(indices) = self.comments_by_video.get(video_id) else {
-            return Vec::new();
-        };
-        let mut out: Vec<&Comment> = indices
-            .iter()
-            .map(|&i| &self.corpus.comments[i])
-            .filter(|c| c.published_at <= now && c.id.parent().as_ref() == Some(parent))
-            .collect();
-        out.sort_by(|a, b| {
-            a.published_at
-                .cmp(&b.published_at)
-                .then_with(|| a.id.cmp(&b.id))
+    pub fn comments_by_parent<Q>(&self, parent: &Q, now: Timestamp) -> Vec<&Comment>
+    where
+        CommentId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let comments = &self.corpus.comments;
+        let thread = self.threads.comment(parent).and_then(|top| {
+            let &(ti, vi) = self.video_index.get(&comments[top].video_id)?;
+            self.threads
+                .thread_of(comments, top, self.topic_offset[ti] + vi)
         });
-        out
+        let Some(thread) = thread else {
+            return Vec::new();
+        };
+        posted_by(comments, self.threads.thread_replies(thread), now)
+            .iter()
+            .map(|&ci| &comments[ci as usize])
+            .collect()
     }
 
-    /// A comment by ID.
-    pub fn comment(&self, id: &CommentId, now: Timestamp) -> Option<&Comment> {
-        self.comment_index.get(id).and_then(|&ci| {
-            let c = &self.corpus.comments[ci];
-            (c.published_at <= now).then_some(c)
-        })
+    /// A comment by ID (a `&CommentId` or the raw `&str`).
+    pub fn comment<Q>(&self, id: &Q, now: Timestamp) -> Option<&Comment>
+    where
+        CommentId: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let c = &self.corpus.comments[self.threads.comment(id)?];
+        (c.published_at <= now).then_some(c)
     }
 }
 
@@ -644,6 +650,218 @@ mod tests {
             searched <= uploads,
             "search returned {searched} > uploads {uploads}"
         );
+    }
+
+    /// The grouping `comment_threads` and `comments_by_parent` did on
+    /// every call before the thread index, kept as the reference: the
+    /// video's comments regrouped by parent, each list sorted by
+    /// (published_at, id).
+    struct Regrouped<'a> {
+        platform: &'a Platform,
+        comments_by_video: HashMap<VideoId, Vec<usize>>,
+        comment_index: HashMap<CommentId, usize>,
+    }
+
+    impl<'a> Regrouped<'a> {
+        fn new(platform: &'a Platform) -> Regrouped<'a> {
+            let mut comments_by_video: HashMap<VideoId, Vec<usize>> = HashMap::new();
+            let mut comment_index = HashMap::new();
+            for (ci, comment) in platform.corpus.comments.iter().enumerate() {
+                comments_by_video
+                    .entry(comment.video_id.clone())
+                    .or_default()
+                    .push(ci);
+                comment_index.insert(comment.id.clone(), ci);
+            }
+            Regrouped {
+                platform,
+                comments_by_video,
+                comment_index,
+            }
+        }
+
+        fn comment_threads(&self, video_id: &VideoId, now: Timestamp) -> Vec<CommentThread<'a>> {
+            if self.platform.video(video_id, now).is_none() {
+                return Vec::new();
+            }
+            let Some(indices) = self.comments_by_video.get(video_id) else {
+                return Vec::new();
+            };
+            let mut tops: Vec<&Comment> = Vec::new();
+            let mut replies: HashMap<CommentId, Vec<&Comment>> = HashMap::new();
+            for &ci in indices {
+                let comment = &self.platform.corpus.comments[ci];
+                if comment.published_at > now {
+                    continue;
+                }
+                match comment.id.parent() {
+                    Some(parent) => replies.entry(parent).or_default().push(comment),
+                    None => tops.push(comment),
+                }
+            }
+            tops.sort_by(|a, b| {
+                a.published_at
+                    .cmp(&b.published_at)
+                    .then_with(|| a.id.cmp(&b.id))
+            });
+            tops.into_iter()
+                .map(|top| {
+                    let mut thread_replies = replies.remove(&top.id).unwrap_or_default();
+                    thread_replies.sort_by(|a, b| {
+                        a.published_at
+                            .cmp(&b.published_at)
+                            .then_with(|| a.id.cmp(&b.id))
+                    });
+                    thread_replies.truncate(5);
+                    CommentThread {
+                        top_level: top,
+                        replies: thread_replies,
+                    }
+                })
+                .collect()
+        }
+
+        fn comments_by_parent(&self, parent: &CommentId, now: Timestamp) -> Vec<&'a Comment> {
+            let Some(&ci) = self.comment_index.get(parent) else {
+                return Vec::new();
+            };
+            let comments = &self.platform.corpus.comments;
+            let video_id = &comments[ci].video_id;
+            let Some(indices) = self.comments_by_video.get(video_id) else {
+                return Vec::new();
+            };
+            let mut out: Vec<&Comment> = indices
+                .iter()
+                .map(|&i| &comments[i])
+                .filter(|c| c.published_at <= now && c.id.parent().as_ref() == Some(parent))
+                .collect();
+            out.sort_by(|a, b| {
+                a.published_at
+                    .cmp(&b.published_at)
+                    .then_with(|| a.id.cmp(&b.id))
+            });
+            out
+        }
+    }
+
+    fn thread_ids(threads: &[CommentThread<'_>]) -> Vec<(CommentId, Vec<CommentId>)> {
+        threads
+            .iter()
+            .map(|t| {
+                let replies = t.replies.iter().map(|r| r.id.clone()).collect();
+                (t.top_level.id.clone(), replies)
+            })
+            .collect()
+    }
+
+    /// Checks every video's threads and every thread's replies against
+    /// the reference at `nows(video)`; returns how many (video, now)
+    /// pairs showed a thread with replies not yet posted, a thread with
+    /// more than five replies, and a deleted video.
+    fn check_against_reference(
+        p: &Platform,
+        nows: impl Fn(&Video) -> Vec<Timestamp>,
+    ) -> (usize, usize, usize) {
+        let reference = Regrouped::new(p);
+        let (mut early, mut long, mut deleted) = (0, 0, 0);
+        for video in p.corpus().topics.iter().flat_map(|t| &t.videos) {
+            for now in nows(video) {
+                let got = p.comment_threads(&video.id, now);
+                let want = reference.comment_threads(&video.id, now);
+                assert_eq!(thread_ids(&got), thread_ids(&want), "{} at {now}", video.id);
+                if !video.visible_at(now) {
+                    deleted += 1;
+                }
+                for thread in &want {
+                    let id = &thread.top_level.id;
+                    let got = p.comments_by_parent(id, now);
+                    let all = reference.comments_by_parent(id, now);
+                    assert_eq!(got, all, "replies of {id} at {now}");
+                    let ever = reference.comments_by_parent(id, Timestamp(i64::MAX));
+                    early += usize::from(all.len() < ever.len());
+                    long += usize::from(all.len() > 5);
+                    if let Some(reply) = ever.first() {
+                        assert!(p.comments_by_parent(&reply.id, now).is_empty());
+                    }
+                }
+            }
+        }
+        (early, long, deleted)
+    }
+
+    #[test]
+    fn thread_index_matches_regrouping_on_every_video() {
+        let p = Platform::small(0.3);
+        let start = audit_time();
+        let (early, _, deleted) = check_against_reference(&p, |video| {
+            let mut nows = vec![start, start.add_days(60)];
+            for hours in [0, 1, 12, 24, 60, 24 * 7, 24 * 14, 24 * 22] {
+                nows.push(video.published_at.add_hours(hours));
+            }
+            if let Some(at) = video.deleted_at {
+                nows.extend([at + (-1), at, at + 1]);
+            }
+            nows
+        });
+        assert!(early > 0, "no now fell before a thread's replies");
+        assert!(deleted > 0, "no deleted video was checked");
+        for id in ["nope", "nope.nope", ""] {
+            assert!(p.comments_by_parent(&CommentId::new(id), start).is_empty());
+        }
+    }
+
+    #[test]
+    fn thread_index_keeps_every_reply_past_the_fifth() {
+        let mut corpus = Corpus::generate(CorpusConfig {
+            scale: 0.1,
+            ..CorpusConfig::default()
+        });
+        let top = corpus
+            .comments
+            .iter()
+            .find(|c| {
+                !c.is_reply()
+                    && corpus
+                        .comments
+                        .iter()
+                        .any(|r| r.id.parent().as_ref() == Some(&c.id))
+            })
+            .expect("a thread with replies")
+            .clone();
+        // Nine more replies, posted out of order and some at equal
+        // instants, so both the time and the ID order matter.
+        for k in 0..9u64 {
+            corpus.comments.push(Comment {
+                id: top.id.mint_reply(100 + k),
+                text: format!("extra reply {k}"),
+                published_at: top.published_at + 3_600 * (k % 4) as i64 + 60,
+                ..top.clone()
+            });
+        }
+        let p = Platform::new(corpus);
+        let late = top.published_at.add_days(30);
+        assert!(p.comments_by_parent(&top.id, late).len() > 9);
+        let thread = p
+            .comment_threads(&top.video_id, late)
+            .into_iter()
+            .find(|t| t.top_level.id == top.id)
+            .expect("the thread");
+        assert_eq!(thread.replies.len(), 5);
+        let (early, long, _) = check_against_reference(&p, |video| {
+            if video.id == top.video_id {
+                (0..12)
+                    .map(|h| top.published_at.add_hours(h))
+                    .chain([late])
+                    .collect()
+            } else {
+                Vec::new()
+            }
+        });
+        assert!(
+            long > 0,
+            "no thread with more than five replies was checked"
+        );
+        assert!(early > 0, "no now fell before a thread's replies");
     }
 
     #[test]

@@ -331,12 +331,12 @@ impl SearchEngine {
     /// pre-filtered eligible slice (matching tokens, channel, time range,
     /// and visible at `request_time`), and `match_fraction` the share of
     /// the topic corpus the token filter keeps.
-    pub fn run(
+    pub fn run<'c>(
         &self,
         topic: Option<Topic>,
         params: &SearchParams,
         eligible: &[&Video],
-        channel_of: impl Fn(&Video) -> Option<Channel>,
+        channel_of: impl Fn(&Video) -> Option<&'c Channel>,
         match_fraction: f64,
         request_time: Timestamp,
     ) -> SearchOutcome {
@@ -445,7 +445,7 @@ impl SearchEngine {
                 .iter()
                 .map(|&v| {
                     let vh = hash_bytes(v.id.as_str().as_bytes());
-                    let prop = channel_of(v).map(|c| self.propensity(v, &c)).unwrap_or(0.0);
+                    let prop = channel_of(v).map(|c| self.propensity(v, c)).unwrap_or(0.0);
                     (self.inclusion_key(vh, stability, prop, request_time), v)
                 })
                 .collect();
@@ -479,8 +479,8 @@ impl SearchEngine {
             SearchOrder::Relevance => {
                 // Relevance ≈ propensity with a deterministic tiebreak.
                 selected.sort_by(|a, b| {
-                    let pa = channel_of(a).map(|c| self.propensity(a, &c)).unwrap_or(0.0);
-                    let pb = channel_of(b).map(|c| self.propensity(b, &c)).unwrap_or(0.0);
+                    let pa = channel_of(a).map(|c| self.propensity(a, c)).unwrap_or(0.0);
+                    let pb = channel_of(b).map(|c| self.propensity(b, c)).unwrap_or(0.0);
                     pb.partial_cmp(&pa)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then_with(|| a.id.cmp(&b.id))

@@ -17,6 +17,7 @@
 //! irreproducibility in published work.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// The URL-safe base-64 alphabet YouTube identifiers draw from.
@@ -97,6 +98,14 @@ macro_rules! string_id {
 
         impl AsRef<str> for $name {
             fn as_ref(&self) -> &str {
+                &self.0
+            }
+        }
+
+        // Hashes and compares like the `str` it wraps, so maps keyed by
+        // the ID can be probed with a borrowed `&str`.
+        impl Borrow<str> for $name {
+            fn borrow(&self) -> &str {
                 &self.0
             }
         }

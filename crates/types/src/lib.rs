@@ -15,6 +15,8 @@
 //!   [`Comment`]) that the simulated Data API serves;
 //! * [`topic`] — the six audit topics from the paper's Appendix A with their
 //!   focal dates and query strings;
+//! * [`json`] — the compact JSON text writer the simulated API renders its
+//!   responses with;
 //! * [`error`] — the shared error type mirroring the Data API's error
 //!   envelope (reasons such as `quotaExceeded`);
 //! * [`wire`] — the binary wire codec (a bounds-checked little-endian
@@ -26,6 +28,7 @@
 
 pub mod error;
 pub mod id;
+pub mod json;
 pub mod platform;
 pub mod resources;
 pub mod time;

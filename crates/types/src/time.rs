@@ -102,7 +102,16 @@ impl Timestamp {
     /// Formats the timestamp as RFC 3339 with a trailing `Z`, e.g.
     /// `2012-07-04T09:30:00Z` — the exact shape the Data API uses.
     pub fn to_rfc3339(self) -> String {
-        self.to_civil().format_rfc3339()
+        let mut out = String::with_capacity(20);
+        // Writing to a `String` cannot fail.
+        let _ = self.write_rfc3339(&mut out);
+        out
+    }
+
+    /// Writes the [`to_rfc3339`](Self::to_rfc3339) text to `out` in
+    /// place, without formatting a temporary.
+    pub fn write_rfc3339<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
+        self.to_civil().write_rfc3339(out)
     }
 
     /// Decomposes the timestamp into calendar date and time-of-day.
@@ -174,7 +183,7 @@ impl Sub<Timestamp> for Timestamp {
 
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_rfc3339())
+        self.write_rfc3339(f)
     }
 }
 
@@ -284,6 +293,15 @@ pub const fn days_in_month(year: i32, month: u32) -> u32 {
     }
 }
 
+/// Writes the low `width` decimal digits of `n`, zero-padded.
+fn push_digits<W: fmt::Write + ?Sized>(out: &mut W, n: u32, width: u32) -> fmt::Result {
+    for place in (0..width).rev() {
+        let digit = (n / 10u32.pow(place)) % 10;
+        out.write_char(char::from(b'0' + digit as u8))?;
+    }
+    Ok(())
+}
+
 /// A calendar date plus a time-of-day, always UTC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CivilDateTime {
@@ -311,15 +329,32 @@ impl CivilDateTime {
 
     /// Formats as RFC 3339 with a `Z` suffix.
     pub fn format_rfc3339(self) -> String {
-        format!(
-            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
-            self.date.year(),
-            self.date.month(),
-            self.date.day(),
-            self.hour,
-            self.minute,
-            self.second
-        )
+        let mut out = String::with_capacity(20);
+        // Writing to a `String` cannot fail.
+        let _ = self.write_rfc3339(&mut out);
+        out
+    }
+
+    /// Writes the [`format_rfc3339`](Self::format_rfc3339) text to `out`:
+    /// `YYYY-MM-DDTHH:MM:SSZ`, the year zero-padded to four places.
+    pub fn write_rfc3339<W: fmt::Write + ?Sized>(self, out: &mut W) -> fmt::Result {
+        let year = self.date.year();
+        if (0..=9999).contains(&year) {
+            push_digits(out, year.unsigned_abs(), 4)?;
+        } else {
+            write!(out, "{year:04}")?;
+        }
+        out.write_char('-')?;
+        push_digits(out, self.date.month(), 2)?;
+        out.write_char('-')?;
+        push_digits(out, self.date.day(), 2)?;
+        out.write_char('T')?;
+        push_digits(out, self.hour, 2)?;
+        out.write_char(':')?;
+        push_digits(out, self.minute, 2)?;
+        out.write_char(':')?;
+        push_digits(out, self.second, 2)?;
+        out.write_char('Z')
     }
 
     /// Parses RFC 3339 text. See [`Timestamp::parse_rfc3339`] for the
@@ -415,7 +450,7 @@ impl CivilDateTime {
 
 impl fmt::Display for CivilDateTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.format_rfc3339())
+        self.write_rfc3339(f)
     }
 }
 
@@ -496,6 +531,13 @@ impl IsoDuration {
     /// Canonical Data-API-style rendering: days only when ≥ 1 day, zero
     /// renders as `PT0S`, e.g. `PT1H2M3S`.
     pub fn format(self) -> String {
+        let mut out = String::with_capacity(12);
+        self.write(&mut out);
+        out
+    }
+
+    /// Appends the [`format`](Self::format) text to `out`.
+    pub fn write(self, out: &mut String) {
         let mut s = self.0;
         let days = s / 86_400;
         s %= 86_400;
@@ -503,23 +545,26 @@ impl IsoDuration {
         s %= 3_600;
         let minutes = s / 60;
         let seconds = s % 60;
-        let mut out = String::from("P");
+        out.push('P');
         if days > 0 {
-            out.push_str(&format!("{days}D"));
+            crate::json::write_u64(out, days);
+            out.push('D');
         }
         if hours > 0 || minutes > 0 || seconds > 0 || days == 0 {
             out.push('T');
             if hours > 0 {
-                out.push_str(&format!("{hours}H"));
+                crate::json::write_u64(out, hours);
+                out.push('H');
             }
             if minutes > 0 {
-                out.push_str(&format!("{minutes}M"));
+                crate::json::write_u64(out, minutes);
+                out.push('M');
             }
             if seconds > 0 || (hours == 0 && minutes == 0) {
-                out.push_str(&format!("{seconds}S"));
+                crate::json::write_u64(out, seconds);
+                out.push('S');
             }
         }
-        out
     }
 }
 
@@ -712,6 +757,36 @@ mod tests {
         assert!(IsoDuration::parse("P1DT1D").is_err());
         assert!(IsoDuration::parse("PT1H1H").is_err());
         assert!(IsoDuration::parse("T1H").is_err());
+    }
+
+    #[test]
+    fn rfc3339_writer_matches_the_formatted_text() {
+        for secs in [
+            0,
+            1,
+            59,
+            86_399,
+            1_466_640_000,
+            1_739_059_199,
+            -1,
+            -62_135_596_800,
+            -62_167_219_200,
+            -62_198_755_200,
+            253_402_300_799,
+            253_402_300_800,
+        ] {
+            let c = Timestamp(secs).to_civil();
+            let want = format!(
+                "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+                c.date.year(),
+                c.date.month(),
+                c.date.day(),
+                c.hour,
+                c.minute,
+                c.second
+            );
+            assert_eq!(Timestamp(secs).to_rfc3339(), want, "{secs}");
+        }
     }
 
     #[test]
