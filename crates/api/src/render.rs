@@ -56,7 +56,8 @@ impl Etag {
     }
 
     /// Writes the etag as the JSON string value of `"etag"`: the quoted
-    /// `"yt-sim-<16 hex digits>"`, its quotes escaped.
+    /// `"yt-sim-<16 hex digits>"`, its quotes escaped. The digits are
+    /// written by hand, not through `write!` (DESIGN §17).
     pub fn write(self, w: &mut JsonWriter) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         w.key("etag").str_with(|out| {

@@ -12,13 +12,16 @@
 //!
 //! These are the shapes clients decode responses into. The service does
 //! not build them: it writes each body straight from the platform's
-//! records with the same key order and omissions (see `render`).
+//! records with the same key order and omissions (see `render`). The
+//! `Serialize` derives are unused at run time; the offline serde
+//! round-trip suite (`benchmark/offline/serde_json/tests/wire_shapes.rs`)
+//! still exercises them.
 
-use serde::Deserialize;
+use serde::{Deserialize, Serialize};
 
 /// `pageInfo` on every list response. `totalResults` is the noisy,
 /// 1M-capped pool estimate the paper studies in §5.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PageInfo {
     /// "The total number of results in the result set" (documented max
@@ -29,7 +32,7 @@ pub struct PageInfo {
 }
 
 /// `snippet` of a search result or playlist item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct Snippet {
     /// RFC 3339 upload instant.
@@ -47,7 +50,7 @@ pub struct Snippet {
 }
 
 /// The `id` object of a search result.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchResultId {
     /// Always `youtube#video` here (`type=video` searches).
@@ -57,7 +60,7 @@ pub struct SearchResultId {
 }
 
 /// One `Search: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchResult {
     /// `youtube#searchResult`.
@@ -67,11 +70,12 @@ pub struct SearchResult {
     /// Nested ID object.
     pub id: SearchResultId,
     /// Snippet part (present when `part=snippet`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<Snippet>,
 }
 
 /// `Search: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct SearchListResponse {
     /// `youtube#searchListResponse`.
@@ -79,8 +83,10 @@ pub struct SearchListResponse {
     /// Entity tag.
     pub etag: String,
     /// Token for the next page, when more results exist.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Token for the previous page.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub prev_page_token: Option<String>,
     /// Region the request was processed for.
     pub region_code: String,
@@ -91,7 +97,7 @@ pub struct SearchListResponse {
 }
 
 /// `contentDetails` of a video.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoContentDetails {
     /// ISO-8601 duration, e.g. `PT4M13S`.
@@ -101,19 +107,21 @@ pub struct VideoContentDetails {
 }
 
 /// `statistics` of a video — all counters are strings on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoStatistics {
     /// View count as a decimal string.
     pub view_count: String,
     /// Like count as a decimal string.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub like_count: Option<String>,
     /// Comment count as a decimal string.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub comment_count: Option<String>,
 }
 
 /// One `Videos: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoResource {
     /// `youtube#video`.
@@ -123,15 +131,18 @@ pub struct VideoResource {
     /// Bare video ID (unlike search results).
     pub id: String,
     /// Snippet part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<Snippet>,
     /// Content details part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub content_details: Option<VideoContentDetails>,
     /// Statistics part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub statistics: Option<VideoStatistics>,
 }
 
 /// `Videos: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct VideoListResponse {
     /// `youtube#videoListResponse`.
@@ -139,6 +150,7 @@ pub struct VideoListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -148,7 +160,7 @@ pub struct VideoListResponse {
 }
 
 /// Channel `snippet`.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelSnippet {
     /// Channel title.
@@ -160,7 +172,7 @@ pub struct ChannelSnippet {
 }
 
 /// Channel `statistics` — strings on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelStatistics {
     /// Total channel views.
@@ -174,7 +186,7 @@ pub struct ChannelStatistics {
 }
 
 /// `contentDetails.relatedPlaylists` of a channel.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct RelatedPlaylists {
     /// The uploads playlist (`UU…`) — the ID-based route to complete
@@ -183,7 +195,7 @@ pub struct RelatedPlaylists {
 }
 
 /// Channel `contentDetails`.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelContentDetails {
     /// Related playlists (uploads).
@@ -191,7 +203,7 @@ pub struct ChannelContentDetails {
 }
 
 /// One `Channels: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelResource {
     /// `youtube#channel`.
@@ -201,15 +213,18 @@ pub struct ChannelResource {
     /// Channel ID.
     pub id: String,
     /// Snippet part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<ChannelSnippet>,
     /// Content details part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub content_details: Option<ChannelContentDetails>,
     /// Statistics part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub statistics: Option<ChannelStatistics>,
 }
 
 /// `Channels: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ChannelListResponse {
     /// `youtube#channelListResponse`.
@@ -223,7 +238,7 @@ pub struct ChannelListResponse {
 }
 
 /// Playlist item `snippet.resourceId`.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ResourceId {
     /// `youtube#video`.
@@ -233,7 +248,7 @@ pub struct ResourceId {
 }
 
 /// Playlist item snippet.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemSnippet {
     /// Upload instant of the contained video.
@@ -251,7 +266,7 @@ pub struct PlaylistItemSnippet {
 }
 
 /// One `PlaylistItems: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemResource {
     /// `youtube#playlistItem`.
@@ -261,11 +276,12 @@ pub struct PlaylistItemResource {
     /// Playlist item ID.
     pub id: String,
     /// Snippet part.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub snippet: Option<PlaylistItemSnippet>,
 }
 
 /// `PlaylistItems: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct PlaylistItemListResponse {
     /// `youtube#playlistItemListResponse`.
@@ -273,6 +289,7 @@ pub struct PlaylistItemListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -281,7 +298,7 @@ pub struct PlaylistItemListResponse {
 }
 
 /// Comment snippet (shared by top-level comments and replies).
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentSnippet {
     /// The video the comment is on.
@@ -295,11 +312,12 @@ pub struct CommentSnippet {
     /// Posting instant.
     pub published_at: String,
     /// Parent comment ID, for replies.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub parent_id: Option<String>,
 }
 
 /// A comment resource.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentResource {
     /// `youtube#comment`.
@@ -313,7 +331,7 @@ pub struct CommentResource {
 }
 
 /// `commentThread.snippet`.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadSnippet {
     /// The video the thread is on.
@@ -328,7 +346,7 @@ pub struct CommentThreadSnippet {
 }
 
 /// Embedded replies of a comment thread (at most five).
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadReplies {
     /// Up to five reply comments.
@@ -336,7 +354,7 @@ pub struct CommentThreadReplies {
 }
 
 /// One `CommentThreads: list` item.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadResource {
     /// `youtube#commentThread`.
@@ -348,11 +366,12 @@ pub struct CommentThreadResource {
     /// Snippet part.
     pub snippet: CommentThreadSnippet,
     /// Embedded replies, when any exist.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub replies: Option<CommentThreadReplies>,
 }
 
 /// `CommentThreads: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentThreadListResponse {
     /// `youtube#commentThreadListResponse`.
@@ -360,6 +379,7 @@ pub struct CommentThreadListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -368,7 +388,7 @@ pub struct CommentThreadListResponse {
 }
 
 /// `Comments: list` response.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct CommentListResponse {
     /// `youtube#commentListResponse`.
@@ -376,6 +396,7 @@ pub struct CommentListResponse {
     /// Entity tag.
     pub etag: String,
     /// Next-page token.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub next_page_token: Option<String>,
     /// Pagination metadata.
     pub page_info: PageInfo,
@@ -384,7 +405,7 @@ pub struct CommentListResponse {
 }
 
 /// One entry of the error envelope's `errors` array.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ErrorItem {
     /// Human-readable message.
@@ -396,7 +417,7 @@ pub struct ErrorItem {
 }
 
 /// The inner error object.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "camelCase")]
 pub struct ErrorBody {
     /// HTTP status code.
@@ -408,12 +429,12 @@ pub struct ErrorBody {
     /// `Retry-After` hint in seconds, on shed (429) responses. The real
     /// API carries this as an HTTP header; the envelope mirrors it so
     /// in-process transports (which only see the body) get the hint too.
-    #[serde(default)]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub retry_after_secs: Option<u64>,
 }
 
 /// The error envelope every failed Data API call returns.
-#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ErrorResponse {
     /// The error payload.
     pub error: ErrorBody,

@@ -177,7 +177,8 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends `n` in decimal.
+/// Appends `n` in decimal. Hand-rolled, like the RFC 3339 and etag
+/// writers: through `write!` the three measured slower (DESIGN §17).
 pub fn write_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();

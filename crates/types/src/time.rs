@@ -293,7 +293,9 @@ pub const fn days_in_month(year: i32, month: u32) -> u32 {
     }
 }
 
-/// Writes the low `width` decimal digits of `n`, zero-padded.
+/// Writes the low `width` decimal digits of `n`, zero-padded. The
+/// in-range years of [`CivilDateTime::write_rfc3339`] take this path
+/// rather than `write!`, which measured slower (DESIGN §17).
 fn push_digits<W: fmt::Write + ?Sized>(out: &mut W, n: u32, width: u32) -> fmt::Result {
     for place in (0..width).rev() {
         let digit = (n / 10u32.pow(place)) % 10;
