@@ -95,6 +95,33 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
+    /// Rejects any option or flag that `usage`, the command's own usage
+    /// text, does not declare: a line, or a `[` in a synopsis line, that
+    /// starts with `--<name>`. Mentions inside prose ("requires
+    /// --store") declare nothing. The usage is the one list of what a
+    /// command accepts, so a misspelt or retired option fails instead of
+    /// being silently ignored.
+    pub fn reject_unknown(&self, command: &str, usage: &str) -> Result<(), ArgError> {
+        let declared = |name: &str| {
+            usage
+                .lines()
+                .flat_map(|line| std::iter::once(line.trim_start()).chain(line.split('[').skip(1)))
+                .filter_map(|item| item.strip_prefix("--")?.strip_prefix(name))
+                .any(|rest| !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-'))
+        };
+        match self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .find(|name| !declared(name))
+        {
+            Some(name) => Err(ArgError(format!(
+                "unknown option --{name} for `ytaudit {command}`; run `ytaudit {command} --help`"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Typed accessor with a default.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
         match self.get(key) {
@@ -149,6 +176,34 @@ mod tests {
         let err = Args::parse(vec!["--name".to_string()], &[]).unwrap_err();
         assert!(err.0.contains("--name"));
         assert!(Args::parse(vec!["--".to_string()], &[]).is_err());
+    }
+
+    #[test]
+    fn options_and_flags_outside_the_usage_are_rejected() {
+        let usage = "USAGE:\n    ytaudit collect [--seed <N>]\n\nOPTIONS:\n    \
+                     --store <file>   where to commit\n    \
+                     --resume         continue (requires --store; see `collect --out`)";
+        let ok = parse(
+            &["collect", "--store", "a.yts", "--resume", "--seed=3"],
+            &["resume"],
+        );
+        assert_eq!(ok.reject_unknown("collect", usage), Ok(()));
+
+        for (tokens, unknown) in [
+            (&["--shards", "2", "--store", "a.yts"][..], "--shards"),
+            (&["--bogus=3"][..], "--bogus"),
+            (&["--paper"][..], "--paper"),
+            // Named only in prose, not declared.
+            (&["--out", "x.json"][..], "--out"),
+            // A name is matched whole, never as a prefix of a longer one.
+            (&["--stor", "a.yts"][..], "--stor"),
+        ] {
+            let err = parse(tokens, &["paper"])
+                .reject_unknown("collect", usage)
+                .unwrap_err();
+            assert!(err.0.contains(unknown), "{err}");
+            assert!(err.0.contains("ytaudit collect --help"), "{err}");
+        }
     }
 
     #[test]

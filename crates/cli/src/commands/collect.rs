@@ -11,19 +11,19 @@ use ytaudit_core::dataset::ChannelInfo;
 use ytaudit_core::{Collector, CollectorConfig, CollectorSink, MemorySink, Schedule, TopicCommit};
 use ytaudit_platform::{Corpus, CorpusConfig, Platform, SimClock};
 use ytaudit_sched::{
-    run_sharded, HttpFactory, InProcessFactory, MetricsRegistry, QuotaGovernor, RunOutcome,
-    Scheduler, SchedulerConfig, TikTokFactory, TransportFactory,
+    HttpFactory, InProcessFactory, MetricsRegistry, QuotaGovernor, RunOutcome, Scheduler,
+    SchedulerConfig, TikTokFactory, TransportFactory,
 };
 use ytaudit_store::Store;
 use ytaudit_tiktok_sim::{TikTokClient, TikTokService, TikTokTransport, RESEARCH_DAILY_REQUESTS};
 use ytaudit_types::{ChannelId, PlatformKind, Timestamp, Topic};
 
-/// Usage text.
-pub const USAGE: &str = "\
-ytaudit collect — run the paper's collection methodology
-
-OPTIONS:
-    --topics <keys|all>      comma-separated topic keys      (default all)
+/// The usage lines of the plan flags [`plan_config`] reads, shared by
+/// `collect` and `coordinate` so a distributed run accepts exactly the
+/// plan a local one does.
+macro_rules! plan_options {
+    () => {
+        "    --topics <keys|all>      comma-separated topic keys      (default all)
     --snapshots <N>          number of snapshots             (default 4)
     --interval-days <N>      days between snapshots          (default 5)
     --paper                  use the paper's exact 16-snapshot schedule
@@ -34,7 +34,20 @@ OPTIONS:
                              youtube; recorded in the store manifest, and a
                              store refuses --resume / merge / analyze under
                              a different platform)
-    --scale <f64>            in-process corpus scale         (default 1.0)
+"
+    };
+}
+pub(crate) use plan_options;
+
+/// Usage text.
+pub const USAGE: &str = concat!(
+    "\
+ytaudit collect — run the paper's collection methodology
+
+OPTIONS:
+",
+    plan_options!(),
+    "    --scale <f64>            in-process corpus scale         (default 1.0)
     --seed <u64>             in-process corpus seed
     --base-url <URL>         collect against a served API instead of
                              an in-process platform
@@ -42,17 +55,9 @@ OPTIONS:
     --workers <N>            collect with N concurrent workers through the
                              scheduler (default 0 = classic sequential path;
                              the dataset is identical either way)
-    --shards <N>             split the plan across N topic shards, one
-                             scheduler per shard committing to its own
-                             `<store>.shard-*.yts` next to --store; fold them
-                             afterwards with `ytaudit store merge` — the merged
-                             store is byte-identical to a single-sink run
-                             (requires --store; --workers is divided across
-                             shards)
     --rate <units/sec>       pace all workers through a shared quota governor
                              refilling this many quota units per second
-                             (requires --workers or --shards; with --shards,
-                             one governor paces every shard)
+                             (requires --workers)
     --in-flight <N>          keep up to N HTTP requests pipelined per
                              connection (default 1 = plain keep-alive;
                              requires --base-url — the in-process transport
@@ -67,7 +72,8 @@ OPTIONS:
                              without re-issuing any API calls
 
 The in-process mode registers the key with unbounded quota; against a
-served API you must have registered a researcher key (see `ytaudit serve`).";
+served API you must have registered a researcher key (see `ytaudit serve`)."
+);
 
 /// A [`CollectorSink`] wrapper that prints one progress line per
 /// committed `(topic, snapshot)` pair: position in the plan, the pair's
@@ -398,10 +404,9 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("--resume requires --store".into()));
     }
     let workers: usize = args.get_parsed("workers", 0)?;
-    let shards: usize = args.get_parsed("shards", 0)?;
     let rate: f64 = args.get_parsed("rate", 0.0)?;
-    if args.get("rate").is_some() && workers == 0 && shards == 0 {
-        return Err(ArgError("--rate requires --workers or --shards".into()));
+    if args.get("rate").is_some() && workers == 0 {
+        return Err(ArgError("--rate requires --workers".into()));
     }
     let in_flight: usize = args.get_parsed("in-flight", 1)?;
     if in_flight == 0 {
@@ -414,49 +419,20 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
                 .into(),
         ));
     }
-    if shards > 0 && store_path.is_none() {
-        return Err(ArgError("--shards requires --store".into()));
-    }
-    if shards > 0 && args.get("out").is_some() {
-        return Err(ArgError(
-            "--shards writes shard stores, not a dataset; run `ytaudit store merge` \
-             then `ytaudit store export-json`"
-                .into(),
-        ));
-    }
 
     let config = plan_config(args, topics)?;
     let backend = build_backend(args, &key, "collect")?;
 
     eprintln!(
-        "[collect] {} topics × {} snapshots, hourly-binned{}{}…",
+        "[collect] {} topics × {} snapshots, hourly-binned{}…",
         config.topics.len(),
         config.schedule.len(),
         if workers > 0 {
             format!(", {workers} workers")
         } else {
             String::new()
-        },
-        if shards > 0 {
-            format!(", {shards} shards")
-        } else {
-            String::new()
         }
     );
-    if shards > 0 {
-        let spath = store_path.as_deref().unwrap_or_default();
-        return collect_sharded(
-            &backend,
-            &config,
-            &key,
-            workers,
-            rate,
-            in_flight,
-            shards,
-            Path::new(spath),
-            resume,
-        );
-    }
     match store_path {
         Some(spath) => {
             let path = Path::new(&spath);
@@ -511,91 +487,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         }
     }
     Ok(())
-}
-
-/// Drives a sharded collection: one scheduler per topic shard, each
-/// committing to its own `<dest>.shard-*.yts`, all paced through one
-/// shared quota governor, plus the channels-only finish store. The
-/// shard set folds back into a byte-canonical single store with
-/// `ytaudit store merge <dest>`.
-#[allow(clippy::too_many_arguments)]
-fn collect_sharded(
-    backend: &Backend,
-    config: &CollectorConfig,
-    key: &str,
-    workers: usize,
-    rate: f64,
-    in_flight: usize,
-    shards: usize,
-    dest: &Path,
-    resume: bool,
-) -> Result<(), ArgError> {
-    // `--workers` is the total budget, divided across shards; the
-    // classic default (0) gives each shard a single worker.
-    let per_shard = if workers == 0 {
-        1
-    } else {
-        (workers / shards).max(1)
-    };
-    let governor = Arc::new(if rate > 0.0 {
-        QuotaGovernor::per_second(rate, rate)
-    } else {
-        QuotaGovernor::unlimited()
-    });
-    let factory = backend.factory(in_flight);
-    let report = run_sharded(
-        factory.as_ref(),
-        config,
-        &SchedulerConfig::new(per_shard, key),
-        shards,
-        governor,
-        dest,
-        resume,
-    )
-    .map_err(|e| ArgError(format!("sharded collection failed: {e}")))?;
-    for shard in &report.shards {
-        let topics: Vec<&str> = shard.topics.iter().map(|t| t.key()).collect();
-        eprintln!(
-            "[collect] shard {} [{}] → {}: {} pairs this run, {} quota units, {}",
-            shard.index,
-            topics.join(","),
-            shard.path.display(),
-            shard.report.pairs_committed,
-            shard.report.quota_units,
-            if shard.report.completed() {
-                "complete"
-            } else {
-                "drained"
-            }
-        );
-    }
-    if report.finished {
-        eprintln!(
-            "[collect] finish → {}: {} channels, +{} units",
-            report.finish_path.display(),
-            report.channels,
-            report.finish_quota
-        );
-    }
-    println!(
-        "sharded collection: {} pairs this run across {} shards, {} quota units",
-        report.pairs_committed(),
-        report.shards.len(),
-        report.quota_units()
-    );
-    if report.completed() {
-        println!(
-            "all shards complete; fold them with `ytaudit store merge {}`",
-            dest.display()
-        );
-        Ok(())
-    } else {
-        Err(ArgError(
-            "sharded collection drained early; committed pairs are banked \
-             (rerun with --shards … --resume to continue)"
-                .into(),
-        ))
-    }
 }
 
 /// Writes the dataset atomically (`<out>.tmp` + rename), so an

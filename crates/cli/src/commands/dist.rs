@@ -4,7 +4,7 @@
 //! their shard stores back for a byte-canonical merge.
 
 use crate::args::{ArgError, Args};
-use crate::commands::collect::{build_backend, plan_config, Backend};
+use crate::commands::collect::{build_backend, plan_config, plan_options, Backend};
 use crate::commands::parse_topics;
 use std::path::Path;
 use std::sync::Arc;
@@ -15,18 +15,14 @@ use ytaudit_platform::clock::RealClock;
 use ytaudit_sched::SchedulerConfig;
 
 /// Usage text for `ytaudit coordinate`.
-pub const COORDINATE_USAGE: &str = "\
+pub const COORDINATE_USAGE: &str = concat!(
+    "\
 ytaudit coordinate — lease a collection plan to workers over HTTP
 
 PLAN (same flags as `ytaudit collect`):
-    --topics <keys|all>      comma-separated topic keys      (default all)
-    --snapshots <N>          number of snapshots             (default 4)
-    --interval-days <N>      days between snapshots          (default 5)
-    --paper                  use the paper's exact 16-snapshot schedule
-    --no-metadata            skip Videos.list fetches
-    --no-channels            skip Channels.list fetches
-    --no-comments            skip comment crawls (default: fetched)
-
+",
+    plan_options!(),
+    "
 COORDINATION:
     --store <file.yts>       merge destination; shard stores are received
                              beside it under the `store merge` naming
@@ -47,7 +43,8 @@ observability, restarts crash-safe (committed shards are re-adopted
 from disk), and exits once every range — including the finish range —
 has been shipped and installed. Duplicate ships from stale leases are
 verified no-ops, so the merged store is byte-identical to a
-single-sink `ytaudit collect --store` run of the same plan.";
+single-sink `ytaudit collect --store` run of the same plan."
+);
 
 /// Usage text for `ytaudit work`.
 pub const WORK_USAGE: &str = "\
@@ -66,6 +63,9 @@ OPTIONS:
     --base-url <URL>         collect against a served API instead of an
                              in-process platform (every worker process must
                              then share that API so shards agree)
+    --platform <name>        backend of the in-process platform: youtube |
+                             tiktok (default youtube; must match the
+                             coordinator's plan)
 
 The worker leases ranges until the coordinator reports the plan done:
 each range runs through the ordinary scheduler into a local shard

@@ -27,14 +27,14 @@ ACTIONS:
     compact       rewrite committed data into a fresh file, dropping
                   orphan records and dead segments (in place via
                   tmp+rename unless --out names a destination)
-    merge         fold the shard stores of a `collect --shards` (or
-                  `coordinate`) run into one canonical store at
-                  <dest.yts>, byte-identical to a single-sink collection.
-                  With no shard arguments, shards are discovered next to
-                  <dest.yts> by their canonical names; each argument may
-                  be a shard file, a directory to discover shards in, or
-                  a `*` glob (quote it past the shell). Crash-safe: an
-                  interrupted merge resumes from its `.merging` file
+    merge         fold the shard stores of a `coordinate` run into one
+                  canonical store at <dest.yts>, byte-identical to a
+                  single-sink collection. With no shard arguments,
+                  shards are discovered next to <dest.yts> by their
+                  canonical names; each argument may be a shard file, a
+                  directory to discover shards in, or a `*` glob (quote
+                  it past the shell). Crash-safe: an interrupted merge
+                  resumes from its `.merging` file
     export-json   materialize the store as a legacy JSON dataset
                   (equivalent to `ytaudit collect --out`)";
 

@@ -9,11 +9,12 @@
 //!                  [--paper] [--no-comments] [--no-metadata] [--scale 1.0]
 //!                  [--base-url http://…] [--out dataset.json]
 //!                  [--store audit.yts] [--resume]
-//!                  [--workers N] [--shards N] [--rate units/sec]
+//!                  [--workers N] [--rate units/sec]
 //! ytaudit coordinate --store audit.yts [--shards N] [--listen 127.0.0.1:0]
 //!                  [--ttl-secs 30] [--merge] [plan flags as collect]
 //! ytaudit work     --coordinator http://… [--workdir dist-work] [--name W]
 //!                  [--key KEY] [--workers N] [--scale 1.0] [--base-url http://…]
+//!                  [--platform youtube|tiktok]
 //! ytaudit analyze  <dataset.json> [--store audit.yts] [--experiment all|table1|
 //!                  table2|table3|table4|table5|table6|table7|fig1|fig2|fig3|fig4]
 //!                  [--follow] [--poll-ms 250] [--checkpoint analyze.ckpt]
@@ -28,18 +29,18 @@
 //! runs the paper's methodology against an in-process platform (default)
 //! or any served instance (`--base-url`), writing the dataset as JSON or
 //! committing it pair-by-pair to a crash-safe snapshot store (`--store`,
-//! resumable with `--resume`, shardable across per-topic stores with
-//! `--shards`); `coordinate`/`work` distribute the same plan across
-//! processes — crash-safe leases over HTTP, exactly-once shard
-//! hand-off, byte-canonical merge; `analyze` re-runs any of the paper's analyses on a
-//! stored dataset — or, with `--store --follow`, tails a live store and
-//! folds each committed pair into streaming accumulators as it lands,
-//! checkpointing so a crashed analysis resumes instead of restarting;
-//! `store` inspects, verifies, compacts, merges
-//! (`collect --shards` output), or exports snapshot stores; `quota`
-//! prices a collection plan in quota
-//! units and key-days; `lint` runs the workspace invariant checker
-//! (`ytaudit-lint`) over the source tree.
+//! resumable with `--resume`); `coordinate`/`work` partition the same
+//! plan across processes, on one host or many — crash-safe leases over
+//! HTTP, exactly-once shard hand-off, byte-canonical merge; `analyze`
+//! re-runs any of the paper's analyses on a stored dataset — or, with
+//! `--store --follow`, tails a live store and folds each committed pair
+//! into streaming accumulators as it lands, checkpointing so a crashed
+//! analysis resumes instead of restarting; `store` inspects, verifies,
+//! compacts, merges (`coordinate` shard output), or exports snapshot
+//! stores; `quota` prices a collection plan in quota units and
+//! key-days; `lint` runs the workspace invariant checker
+//! (`ytaudit-lint`) over the source tree. Each command rejects an
+//! option its usage text does not declare.
 
 mod args;
 mod commands;
@@ -66,6 +67,18 @@ COMMANDS:
 
 Run `ytaudit <command> --help` for command options.";
 
+/// Options that take no value, across every command.
+const FLAGS: &[&str] = &[
+    "help",
+    "paper",
+    "no-comments",
+    "no-metadata",
+    "no-channels",
+    "resume",
+    "merge",
+    "follow",
+];
+
 fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     match run(tokens) {
@@ -78,25 +91,14 @@ fn main() {
 }
 
 fn run(tokens: Vec<String>) -> Result<(), ArgError> {
-    let args = Args::parse(
-        tokens,
-        &[
-            "help",
-            "paper",
-            "quick",
-            "no-comments",
-            "no-metadata",
-            "no-channels",
-            "hourly",
-            "resume",
-            "merge",
-            "follow",
-        ],
-    )?;
+    let args = Args::parse(tokens, FLAGS)?;
     let command = args.positional(0).unwrap_or("help");
     if args.flag("help") {
         println!("{}", commands::usage_for(command).unwrap_or(USAGE));
         return Ok(());
+    }
+    if let Some(usage) = commands::usage_for(command) {
+        args.reject_unknown(command, usage)?;
     }
     match command {
         "serve" => commands::serve::run(&args),
@@ -115,5 +117,46 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
         other => Err(ArgError(format!(
             "unknown command {other:?}; run `ytaudit help`"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tokens(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn options_a_command_does_not_declare_fail_before_any_work() {
+        for (line, unknown) in [
+            ("collect --shards 2 --store never-created.yts", "--shards"),
+            ("collect --paper --bogus 3", "--bogus"),
+            ("analyze --store a.yts --merge", "--merge"),
+            ("topics --all", "--all"),
+        ] {
+            let err = run(tokens(line)).unwrap_err();
+            assert!(err.0.contains(unknown), "{line}: {err}");
+        }
+        assert!(!std::path::Path::new("never-created.yts").exists());
+    }
+
+    #[test]
+    fn every_declared_option_is_accepted() {
+        for line in [
+            "coordinate --shards 4 --store a.yts --paper --platform tiktok --merge --ttl-secs 5",
+            "work --coordinator http://h --platform tiktok --workers 2 --seed 1",
+            "collect --paper --workers 2 --store a.yts --seed 1",
+            "collect --paper --workers 2 --store a.yts --base-url http://h --key k --in-flight 4",
+            "analyze --store a.yts --follow --poll-ms 5 --checkpoint c --report r",
+            "serve --addr 127.0.0.1:0 --seed 1 --researcher-key k --tenant-key k --tenant-rate 1",
+            "store compact a.yts --out b.yts",
+        ] {
+            let args = Args::parse(tokens(line), FLAGS).unwrap();
+            let command = args.positional(0).unwrap();
+            let usage = commands::usage_for(command).unwrap();
+            assert_eq!(args.reject_unknown(command, usage), Ok(()), "{line}");
+        }
     }
 }

@@ -16,7 +16,6 @@
 use crate::collect::{Collector, CollectorConfig};
 use crate::dataset::AuditDataset;
 use crate::streaming::Analyzer;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use ytaudit_api::service::{ApiService, FaultConfig};
 use ytaudit_client::{InProcessTransport, YouTubeClient};
@@ -24,7 +23,7 @@ use ytaudit_platform::{Corpus, CorpusConfig, Platform, SamplerConfig, SimClock};
 use ytaudit_types::{Result, Topic};
 
 /// Observables extracted from one ablated audit run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationOutcome {
     /// Variant label.
     pub variant: String,

@@ -8,14 +8,13 @@
 //! "rolling window"), which is exactly what the platform's value-noise
 //! sampler produces.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use ytaudit_stats::markov::{MarkovChain2, PresenceAccumulator, State2};
 use ytaudit_types::wire::{self, Reader, Writer};
 use ytaudit_types::VideoId;
 
 /// Figure 3: the 4×2 transition table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure3 {
     /// Rows in PP, PA, AP, AA order; each row is
     /// `[P(next = Present), P(next = Absent)]`.

@@ -45,8 +45,8 @@ pub struct CollectorConfig {
     pub fetch_channels: bool,
     /// Fetch comment threads + replies on the first and last snapshots.
     pub fetch_comments: bool,
-    /// Shard identity when this plan is one shard of a `collect
-    /// --shards N` run; `None` for the ordinary single-sink path.
+    /// Shard identity when this plan is one range of a partitioned
+    /// (`coordinate`) run; `None` for the ordinary single-sink path.
     pub shard: Option<crate::shard::ShardSpec>,
     /// The backend this plan targets. Recorded in the store's Begin
     /// manifest and validated on resume/merge/analyze, so data collected
@@ -425,7 +425,7 @@ pub fn fetch_video_meta(
 }
 
 /// The finish phase's channel fetch, shared by every collection path
-/// (collector, scheduler, sharded and distributed finish): when `config`
+/// (collector, scheduler, distributed finish range): when `config`
 /// asks for channels, pins the final snapshot's clock and fetches
 /// metadata for the IDs `ids` yields, deduplicated and sorted so the
 /// call sequence is deterministic regardless of backend. The clock is

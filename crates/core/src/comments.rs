@@ -10,7 +10,6 @@
 
 use crate::dataset::{put_comment, read_comment, CommentFetchError, CommentsSnapshot};
 use crate::idsets::{decode_id_set, encode_id_set};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 use ytaudit_stats::sets::{jaccard_of_counts, sorted_intersection_len};
@@ -19,7 +18,7 @@ use ytaudit_types::{Timestamp, Topic, VideoId};
 
 /// A Table 5 row. `None` entries are the paper's "N/A" (no nested
 /// comments exist — Higgs predates threaded replies).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table5Row {
     /// The topic.
     pub topic: Topic,

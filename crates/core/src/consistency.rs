@@ -7,7 +7,6 @@
 //! summary of Table 1.
 
 use crate::idsets::{decode_id_set, encode_id_set};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 use ytaudit_stats::descriptive::Description;
@@ -17,7 +16,7 @@ use ytaudit_types::wire::{self, Reader, Writer};
 use ytaudit_types::{Topic, VideoId};
 
 /// One snapshot's similarity measurements (one point of Figure 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsistencyPoint {
     /// Snapshot index (0-based).
     pub snapshot: usize,
@@ -36,7 +35,7 @@ pub struct ConsistencyPoint {
 }
 
 /// Figure 1 for one topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopicConsistency {
     /// The topic.
     pub topic: Topic,
@@ -62,7 +61,7 @@ impl TopicConsistency {
 }
 
 /// A Table 1 row: per-topic return-count summary across snapshots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// The topic.
     pub topic: Topic,

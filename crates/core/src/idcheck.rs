@@ -10,7 +10,6 @@
 //! conclusion.
 
 use crate::idsets::{decode_id_set, encode_id_set};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
 use ytaudit_stats::sets::jaccard_of_counts;
@@ -18,7 +17,7 @@ use ytaudit_types::wire::{self, Reader, Writer};
 use ytaudit_types::{Topic, VideoId};
 
 /// One comparison of Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure4Point {
     /// The later snapshot of the pair (1-based "comparison ID", matching
     /// the paper's axis).
@@ -34,7 +33,7 @@ pub struct Figure4Point {
 }
 
 /// Figure 4 for one topic: successive-pair and versus-first series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure4Topic {
     /// The topic.
     pub topic: Topic,

@@ -13,7 +13,6 @@
 //! the detector itself is validated.
 
 use crate::dataset::AuditDataset;
-use serde::{Deserialize, Serialize};
 use ytaudit_stats::timeseries::{acf, detect_periodicity, ljung_box, Periodicity};
 use ytaudit_stats::{Result as StatsResult, StatsError};
 use ytaudit_types::Topic;
@@ -25,7 +24,7 @@ use ytaudit_types::Topic;
 /// period of any planted cycle (each video's key returns to its starting
 /// value every period, whatever its phase), and differencing removes the
 /// monotone decay trend that would otherwise fake long-lag correlation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodicityReport {
     /// The topic scanned.
     pub topic: Topic,

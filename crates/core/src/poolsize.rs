@@ -8,13 +8,12 @@
 //! ones whose modal estimate is below the cap.
 
 use crate::dataset::TopicSnapshot;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ytaudit_types::wire::{self, Reader, Writer};
 use ytaudit_types::Topic;
 
 /// A Table 4 row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table4Row {
     /// The topic.
     pub topic: Topic,

@@ -8,7 +8,6 @@
 
 use crate::dataset::{HourlyResult, TopicSnapshot};
 use crate::idsets::{day_sets, decode_id_set, encode_id_set, hour_sets, sorted_jaccard};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use ytaudit_stats::rank::spearman;
@@ -16,7 +15,7 @@ use ytaudit_types::wire::{self, Reader, Writer};
 use ytaudit_types::{Topic, VideoId};
 
 /// A Table 2 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// The topic.
     pub topic: Topic,
@@ -39,7 +38,7 @@ pub struct Table2Row {
 }
 
 /// One day of Figure 2 for a topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayPoint {
     /// Day index within the 28-day window (0-based).
     pub day: u32,
@@ -54,7 +53,7 @@ pub struct DayPoint {
 }
 
 /// Figure 2 for one topic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure2Topic {
     /// The topic.
     pub topic: Topic,

@@ -8,7 +8,6 @@
 //! channel's upload count.
 
 use crate::dataset::{put_video_info, read_video_info, ChannelInfo, VideoInfo};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use ytaudit_stats::descriptive::{bin_frequency, log1p_transform, standardize};
 use ytaudit_stats::ols::{OlsFit, OlsOptions};
@@ -36,7 +35,7 @@ pub const PREDICTORS: [&str; 14] = [
 ];
 
 /// The assembled design matrix plus outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionData {
     /// Predictor names actually present (columns of `x`). Constant
     /// columns — e.g. the dummy of a topic not in the collection — are

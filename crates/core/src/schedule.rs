@@ -4,11 +4,10 @@
 //! 2025-04-30, skipping 2025-04-05 ("due to a technical problem"),
 //! yielding 16 snapshots over 12 weeks.
 
-use serde::{Deserialize, Serialize};
 use ytaudit_types::Timestamp;
 
 /// A list of snapshot dates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     dates: Vec<Timestamp>,
 }

@@ -11,7 +11,6 @@
 //! API is queried with `order=relevance` through the normal client (the
 //! researcher path), and the two are compared at the SERP page size.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use ytaudit_client::{Order, SearchQuery, YouTubeClient};
 use ytaudit_platform::serp::SERP_PAGE_SIZE;
@@ -19,7 +18,7 @@ use ytaudit_platform::Platform;
 use ytaudit_types::{Result, Timestamp, Topic, VideoId};
 
 /// The agreement measurements for one topic at one date.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SerpComparison {
     /// The topic.
     pub topic: Topic,

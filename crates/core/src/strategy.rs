@@ -11,7 +11,6 @@
 //!   subtopic queries ("break up your *topics* as opposed to your time
 //!   frames"), in both replicability and quota cost.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use ytaudit_client::{SearchQuery, YouTubeClient};
 use ytaudit_stats::sets::jaccard;
@@ -47,7 +46,7 @@ impl StrategyConfig {
 }
 
 /// One rung of the restriction ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RestrictionPoint {
     /// Number of AND terms added to the base query.
     pub level: usize,
@@ -125,7 +124,7 @@ pub fn restriction_ladder(
 }
 
 /// Comparison of broad-query vs split-subtopic collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitComparison {
     /// The topic.
     pub topic: Topic,

@@ -17,9 +17,9 @@
 //! `Committed` is terminal and *durable*: its marker is the complete,
 //! validated shard store sitting at the canonical
 //! [`shard_store_path`]/[`finish_store_path`] next to the future merged
-//! destination — the same invariant a local `collect --shards` run
-//! leaves behind, which is why a restarted coordinator can rebuild its
-//! entire state by scanning the filesystem. Exactly-once follows: a
+//! destination — the layout `store merge` discovers, which is why a
+//! restarted coordinator can rebuild its entire state by scanning the
+//! filesystem. Exactly-once follows: a
 //! range transitions to `Committed` at most once (under the state lock,
 //! fenced by the lease token), every later ship of the same range is
 //! answered [`ShipReply::Duplicate`] without touching the installed

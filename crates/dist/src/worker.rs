@@ -325,8 +325,9 @@ fn execute_range(
         }
         return Ok(());
     }
-    // Finish range: replicate the sharded run's finish phase — one
-    // batched channel fetch at the last snapshot's simulated instant.
+    // Finish range: the parent plan's one batched channel fetch, at the
+    // last snapshot's simulated instant, over the channel-ID union the
+    // coordinator gathered from every installed topic shard.
     let finish_cfg = finish_config(&grant.plan.parent, count);
     store.begin(&finish_cfg).map_err(|e| internal(&e))?;
     if store.complete() {

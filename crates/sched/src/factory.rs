@@ -2,8 +2,6 @@
 //! (and, over HTTP, its own keep-alive connection), so the factory is
 //! the seam where the scheduler stays transport-agnostic.
 
-use crate::governor::{GovernedTransport, QuotaGovernor};
-use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use ytaudit_api::ApiService;
@@ -58,25 +56,6 @@ pub trait TransportFactory: Send + Sync {
     fn client(&self, transport: Box<dyn Transport>, api_key: &str) -> Box<dyn Platform> {
         Box::new(YouTubeClient::new(transport, api_key))
     }
-}
-
-/// Builds one backend client over a fresh transport from `factory`,
-/// admitted through `governor` at the factory platform's unit cost and
-/// timed into `metrics`. Scheduler workers and the sharded finish phase
-/// all build their clients here.
-pub(crate) fn governed_client(
-    factory: &dyn TransportFactory,
-    governor: &Arc<QuotaGovernor>,
-    metrics: &Arc<MetricsRegistry>,
-    api_key: &str,
-) -> Box<dyn Platform> {
-    let transport = GovernedTransport::new(
-        factory.transport(),
-        Arc::clone(governor),
-        Arc::clone(metrics),
-        factory.platform(),
-    );
-    factory.client(Box::new(transport), api_key)
 }
 
 /// Workers call the service directly in-process (no sockets).

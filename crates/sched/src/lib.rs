@@ -27,10 +27,7 @@
 //!   line by the CLI; the final summary table adds the [`RunReport`]'s
 //!   pairs and quota, which come from the backend clients' ledgers;
 //! * [`factory`] — per-worker transport construction for the in-process
-//!   and HTTP transports;
-//! * [`shard`] — the sharded-collection orchestrator: one scheduler per
-//!   topic shard, each with its own store and metrics, all paced
-//!   through one shared governor, plus the channels-only finish phase.
+//!   and HTTP transports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +38,6 @@ pub mod metrics;
 pub mod reorder;
 pub mod retry;
 pub mod scheduler;
-pub mod shard;
 pub mod tenant;
 
 pub use factory::{
@@ -52,5 +48,4 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use reorder::ReorderBuffer;
 pub use retry::{classify, ErrorClass, TaskRetryPolicy};
 pub use scheduler::{RunOutcome, RunReport, Scheduler, SchedulerConfig, ShutdownSignal};
-pub use shard::{run_sharded, ShardOutcome, ShardRunReport};
 pub use tenant::{ServeFront, Tenant, TenantRegistry};

@@ -31,8 +31,8 @@
 //! prefix still commit, queued work is abandoned, and a durable sink is
 //! left resumable.
 
-use crate::factory::{governed_client, TransportFactory};
-use crate::governor::QuotaGovernor;
+use crate::factory::TransportFactory;
+use crate::governor::{GovernedTransport, QuotaGovernor};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::reorder::ReorderBuffer;
 use crate::retry::{classify, ErrorClass, TaskRetryPolicy};
@@ -268,9 +268,7 @@ impl<'f> Scheduler<'f> {
         }
     }
 
-    /// Paces this scheduler through `governor`, which other schedulers
-    /// may share — how a sharded run paces every shard through one
-    /// token bucket.
+    /// Paces this scheduler through `governor` (`collect --rate`).
     pub fn with_governor(mut self, governor: Arc<QuotaGovernor>) -> Scheduler<'f> {
         self.governor = governor;
         self
@@ -286,13 +284,18 @@ impl<'f> Scheduler<'f> {
         self.shutdown.clone()
     }
 
+    /// Builds one worker's backend client over a fresh transport,
+    /// admitted through the governor at the platform's unit cost and
+    /// timed into the metrics registry.
     fn make_client(&self) -> Box<dyn Platform> {
-        governed_client(
-            self.factory,
-            &self.governor,
-            &self.metrics,
-            &self.sched.api_key,
-        )
+        let transport = GovernedTransport::new(
+            self.factory.transport(),
+            Arc::clone(&self.governor),
+            Arc::clone(&self.metrics),
+            self.factory.platform(),
+        );
+        self.factory
+            .client(Box::new(transport), &self.sched.api_key)
     }
 
     /// Runs the plan to completion (or drain), committing plan-ordered

@@ -3,10 +3,9 @@
 //! summaries (Tables 1, 2, 4) and the integer mode (Table 4).
 
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// A five-number-ish summary used throughout the paper's tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Description {
     /// Number of observations.
     pub n: usize,
@@ -25,7 +24,7 @@ pub struct Description {
 /// [`Moments::finish`] into a [`Description`]; `describe` itself is
 /// implemented as "fold everything, then finish" so batch and streaming
 /// analyses share one numeric code path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Moments {
     n: u64,
     mean: f64,

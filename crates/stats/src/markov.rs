@@ -10,13 +10,12 @@
 // tables and windows(3) slices; literal indices are in bounds by construction
 
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 
 /// A two-snapshot history `(previous, current)`; `true` = present.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct State2 {
     /// Presence two snapshots ago.
     pub prev: bool,
@@ -58,7 +57,7 @@ impl fmt::Display for State2 {
 }
 
 /// A fitted second-order Markov chain over presence/absence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovChain2 {
     /// counts[state][next]: next = 0 for Present, 1 for Absent.
     counts: [[u64; 2]; 4],
@@ -149,7 +148,7 @@ impl Default for MarkovChain2 {
 }
 
 /// Per-key presence history carried between folds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PresenceState {
     /// Presence two folds ago, once known.
     prev2: Option<bool>,
@@ -167,7 +166,7 @@ struct PresenceState {
 /// snapshot), which contributes `t − 2` AA→A transitions and one AA→P
 /// transition. All state is integer counts plus two booleans per key, so
 /// the equivalence with the batch path is exact, not approximate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PresenceAccumulator<K: Ord> {
     folds: u64,
     states: BTreeMap<K, PresenceState>,

@@ -6,7 +6,6 @@
 use crate::matrix::Matrix;
 use crate::special::{f_sf, t_p_two_sided};
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// One-pass sufficient statistics for least squares: the accumulator
 /// folds `(x-row, y)` observations into running `X'X` (upper triangle)
@@ -127,7 +126,7 @@ pub struct OlsOptions {
 }
 
 /// A fitted OLS model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OlsFit {
     /// Term names: `"(intercept)"` followed by the predictor names.
     pub names: Vec<String>,

@@ -13,11 +13,10 @@
 use crate::matrix::Matrix;
 use crate::special::{chi2_sf, normal_p_two_sided, normal_quantile};
 use crate::{Result, StatsError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The cumulative link function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Link {
     /// Logistic link: `F(z) = 1/(1+e^{−z})` (Table 3).
     Logit,
@@ -471,7 +470,7 @@ impl ObservationSet {
 }
 
 /// A fitted ordinal regression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrdinalFit {
     /// Predictor names (no intercept — thresholds play that role).
     pub names: Vec<String>,

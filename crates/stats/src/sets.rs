@@ -8,7 +8,6 @@
 //! inconsistency — deleted videos can leave a set, but a *historical* query
 //! should never gain videos it did not return before.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -82,7 +81,7 @@ pub fn coverage<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
 
 /// The similarity measurements produced by one [`OverlapAccumulator::fold`]
 /// — the streaming form of a Figure-1 point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapStep {
     /// `J(Sₜ, Sₜ₋₁)`; 1.0 for the first fold.
     pub jaccard_prev: f64,

@@ -1,7 +1,7 @@
 //! Deterministic merge/compact of shard stores into one canonical
 //! store.
 //!
-//! A `collect --shards N` run produces `N` topic-shard stores (each a
+//! A `coordinate --shards N` run produces `N` topic-shard stores (each a
 //! complete collection over its topic subset, channels off) plus one
 //! *finish* store holding only the end-of-collection channel metadata.
 //! [`merge_shards`] folds them back into a single `.yts` by
@@ -9,7 +9,7 @@
 //! (snapshot-major, then the parent topic order) into a fresh store —
 //! the exact order and dedup behaviour of a single-sink run — then
 //! replaying the finish store's channels and end record. The output is
-//! therefore byte-identical to what `collect` without `--shards` writes.
+//! therefore byte-identical to what a single-sink `collect` writes.
 //!
 //! Durability follows the store's own WAL discipline: the merge writes
 //! into a `.merging` sibling, commits pair by pair (each commit

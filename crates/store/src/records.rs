@@ -84,7 +84,7 @@ pub struct CollectionMeta {
     pub fetch_channels: bool,
     /// Whether comments are crawled on the first and last snapshots.
     pub fetch_comments: bool,
-    /// Shard identity when this store is one shard of a `collect
+    /// Shard identity when this store is one shard of a `coordinate
     /// --shards N` run. Encoded as an optional Begin tail: single-sink
     /// stores keep the original byte layout, so old stores decode
     /// unchanged.

@@ -13,13 +13,13 @@
 //! once the collector recovers the store.
 //!
 //! The faultpoint registry is process-global, so tests serialize on one
-//! mutex and disarm on drop (same pattern as `shard_crash_matrix`).
+//! mutex and disarm on drop (same pattern as `merge_crash_matrix`).
 
-mod shard_harness;
+mod store_harness;
 
-use shard_harness as h;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
+use store_harness as h;
 use ytaudit::core::{Analyzer, CollectorSink};
 use ytaudit::platform::faultpoint;
 use ytaudit::store::{follow_analyze, FollowOptions, Store, StoreError, TailReader, TempDir};

@@ -2,10 +2,11 @@
 //! faultpoint — `dist.lease-grant` (coordinator, before the grant is
 //! recorded), `dist.pre-ship` (worker, after execution, before the
 //! upload), and `dist.pre-accept` (coordinator, after upload
-//! validation, before the canonical rename) — must leave the run
-//! recoverable, and the recovered run's merged store must stay
-//! byte-identical to a crash-free single-sink collection, with no
-//! range executed-and-committed twice (quota-ledger check).
+//! validation, before the canonical rename) — or at a worker's
+//! `store.commit` must leave the run recoverable, and the recovered
+//! run's merged store must stay byte-identical to a crash-free
+//! single-sink collection, with no range executed-and-committed twice
+//! (quota-ledger check).
 //!
 //! The scheduler-driven tests exercise real workers end to end; the
 //! synthetic test at the bottom drives the same faults over the raw
@@ -14,14 +15,14 @@
 //!
 //! The faultpoint registry is process-global, so every test here
 //! serializes on one mutex and disarms on drop — the same discipline
-//! as `shard_crash_matrix`.
+//! as `merge_crash_matrix`.
 
-mod shard_harness;
+mod store_harness;
 
-use shard_harness as h;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+use store_harness as h;
 use ytaudit::core::testutil::test_client;
 use ytaudit::core::{Collector, CollectorConfig};
 use ytaudit::dist::protocol::{
@@ -42,23 +43,6 @@ use ytaudit::types::Topic;
 
 const SCALE: f64 = 0.08;
 const KEY: &str = "research-key";
-
-/// Folds the CI-rotated property seed (`YTAUDIT_PROP_SEED`, numeric or
-/// FNV-hashed commit SHA) into a test's fixed payload seed, matching
-/// the shard-equivalence suite's convention.
-fn prop_seed(fixed: u64) -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => {
-            let rotated = raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            });
-            rotated ^ fixed
-        }
-        Err(_) => fixed,
-    }
-}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -306,6 +290,72 @@ fn transient_pre_accept_fault_is_absorbed_by_commit_retry() {
     );
 }
 
+/// A worker's first store commit fails (`store.commit`: its record is
+/// in the file, the guarded fsync never ran), so its scheduler drains
+/// and the worker stops with the range half done. The simulated API
+/// charged that run at least what the range's local store banked (a
+/// pair commits only after its calls were served) and at most the
+/// whole plan (a drain abandons work rather than spending past it). A
+/// successor on the same workdir, once the lease expires, is charged
+/// exactly the un-banked remainder, however much abandoned in-flight
+/// work the drained run paid for, and the merge still reproduces the
+/// single-sink bytes.
+#[test]
+fn drained_range_is_never_over_charged_and_its_successor_pays_the_difference() {
+    let _guard = exclusive();
+    let dir = TempDir::new("dist-crash-drain");
+    let config = plan();
+    let reference_bytes = reference(&dir, &config);
+    let total = h::single_scheduler_charge(SCALE, KEY, &config);
+
+    let dest = dir.file("merged.yts");
+    // A short ttl so the drained worker's lease is forfeited quickly.
+    let coord = coordinator(&config, &dest, Duration::from_secs(1));
+    let workdir = dir.file("work");
+
+    let charged_crash = {
+        let (_client, service) = test_client(SCALE);
+        let factory = InProcessFactory::new(Arc::clone(&service));
+        faultpoint::arm("store.commit", 1);
+        let chan = LocalChannel::new(Arc::clone(&coord));
+        let err = run_worker(&chan, &factory, &worker_cfg("victim", workdir.clone())).unwrap_err();
+        faultpoint::reset();
+        assert!(err.detail.contains("drained"), "{err}");
+        service.quota().lifetime_used(KEY)
+    };
+    let banked = Store::open(&workdir.join("range-0.yts"))
+        .unwrap()
+        .stats()
+        .quota_units;
+    assert!(0 < banked && banked < total, "banked {banked} of {total}");
+    assert!(charged_crash >= banked, "banked quota was never charged");
+    assert!(
+        charged_crash <= total,
+        "drain over-spent: {charged_crash} > {total}"
+    );
+
+    let charged_resume = {
+        let (_client, service) = test_client(SCALE);
+        let factory = InProcessFactory::new(Arc::clone(&service));
+        let report = run_one(&coord, &factory, &worker_cfg("successor", workdir));
+        assert_eq!(report.committed, coord.plan().total_ranges());
+        service.quota().lifetime_used(KEY)
+    };
+    assert_eq!(
+        charged_resume,
+        total - banked,
+        "the successor did not pay exactly the un-banked remainder"
+    );
+
+    coord.merge().unwrap();
+    assert_converged(
+        &dest,
+        &dir.file("reference.yts"),
+        &reference_bytes,
+        "drained range",
+    );
+}
+
 // ---------------------------------------------------------------------
 // Synthetic wire-level coverage (no API, no scheduler): the same
 // coordinator-side kills driven over a real loopback server with
@@ -408,7 +458,7 @@ fn synthetic_wire_kills_at_coordinator_faultpoints_recover_exactly_once() {
     let _guard = exclusive();
     let dir = TempDir::new("dist-crash-synthetic");
     let config = plan();
-    let seed = prop_seed(11);
+    let seed = h::prop_seed(11);
     let reference_bytes = h::build_reference(&dir.file("synthetic-reference.yts"), &config, seed);
     let staged = h::build_shards(&dir.file("staging.yts"), &config, 2, seed);
     let shards: Vec<Vec<u8>> = staged.iter().map(|p| std::fs::read(p).unwrap()).collect();

@@ -1,9 +1,11 @@
 //! Distributed-collection equivalence: a coordinator plus N workers —
 //! in process or over loopback HTTP — must produce a merged store
 //! byte-identical to a crash-free single-sink collection of the same
-//! plan, for every worker count, with every task executed and
-//! committed exactly once (checked through the store's quota ledger:
-//! a double-executed pair would double its recorded quota delta).
+//! plan, for every worker count and shard count, with every task
+//! executed and committed exactly once (checked through the store's
+//! quota ledger: a double-executed pair would double its recorded quota
+//! delta) and the simulated API charging exactly the quota one
+//! scheduler is charged for the whole plan.
 //!
 //! Two layers of coverage:
 //!
@@ -13,16 +15,16 @@
 //!   divergence is the distribution layer's fault;
 //! * the synthetic tests drive the same wire protocol (lease → chunked
 //!   ship → commit, over a real loopback server) with store-layer
-//!   payloads from the shared shard harness, pinning the coordinator's
+//!   payloads from the shared store harness, pinning the coordinator's
 //!   lease distribution, installation, and merge for every topology
 //!   without an API in the loop.
 
-mod shard_harness;
+mod store_harness;
 
-use shard_harness as h;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+use store_harness as h;
 use ytaudit::core::testutil::test_client;
 use ytaudit::core::{Collector, CollectorConfig};
 use ytaudit::dist::protocol::{
@@ -45,25 +47,6 @@ const KEY: &str = "research-key";
 const TTL: Duration = Duration::from_secs(60);
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Folds the CI-rotated property seed (`YTAUDIT_PROP_SEED`, numeric or
-/// FNV-hashed commit SHA) into a test's fixed payload seed, matching
-/// the shard-equivalence suite's convention: every push explores fresh
-/// synthetic payloads while any failure reproduces from the logged
-/// seed.
-fn prop_seed(fixed: u64) -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => {
-            let rotated = raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            });
-            rotated ^ fixed
-        }
-        Err(_) => fixed,
-    }
-}
-
 fn plan() -> CollectorConfig {
     h::plan(vec![Topic::Higgs, Topic::Blm], 2)
 }
@@ -82,21 +65,26 @@ fn reference(dir: &TempDir, config: &CollectorConfig) -> Vec<u8> {
     std::fs::read(&path).unwrap()
 }
 
-fn coordinator(config: &CollectorConfig, dest: &std::path::Path) -> Arc<Coordinator> {
-    Arc::new(Coordinator::new(config, 2, dest, TTL, Arc::new(RealClock::default())).unwrap())
+fn coordinator(
+    config: &CollectorConfig,
+    dest: &std::path::Path,
+    shards: usize,
+) -> Arc<Coordinator> {
+    Arc::new(Coordinator::new(config, shards, dest, TTL, Arc::new(RealClock::default())).unwrap())
 }
 
 /// Runs `n` workers to completion over per-worker channels built by
-/// `channel`, all sharing one in-process platform.
+/// `channel`, all sharing one in-process platform. Returns their
+/// reports and the quota that platform's ledger charged them.
 fn run_workers(
     dir: &TempDir,
     n: usize,
     tag: &str,
     channel: impl Fn() -> Box<dyn CoordinatorChannel> + Sync,
-) -> Vec<WorkerReport> {
+) -> (Vec<WorkerReport>, u64) {
     let (_client, service) = test_client(SCALE);
-    let factory = InProcessFactory::new(service);
-    std::thread::scope(|scope| {
+    let factory = InProcessFactory::new(Arc::clone(&service));
+    let reports = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let workdir: PathBuf = dir.file(&format!("work-{tag}-{i}"));
@@ -114,7 +102,8 @@ fn run_workers(
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    });
+    (reports, service.quota().lifetime_used(KEY))
 }
 
 /// Every range executed and committed exactly once: the workers'
@@ -163,8 +152,8 @@ fn in_process_workers_merge_byte_identical_to_single_sink() {
 
     for n in WORKER_COUNTS {
         let dest = dir.file(&format!("dist-local-{n}.yts"));
-        let coord = coordinator(&config, &dest);
-        let reports = run_workers(&dir, n, &format!("local-{n}"), || {
+        let coord = coordinator(&config, &dest, 2);
+        let (reports, _) = run_workers(&dir, n, &format!("local-{n}"), || {
             Box::new(LocalChannel::new(Arc::clone(&coord)))
         });
         assert!(coord.all_committed(), "n={n}");
@@ -186,11 +175,11 @@ fn loopback_http_workers_merge_byte_identical_to_single_sink() {
 
     for n in WORKER_COUNTS {
         let dest = dir.file(&format!("dist-http-{n}.yts"));
-        let coord = coordinator(&config, &dest);
+        let coord = coordinator(&config, &dest, 2);
         let handler: Arc<dyn ytaudit::net::Handler> = Arc::clone(&coord) as _;
         let server = Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap();
         let base_url = server.base_url();
-        let reports = run_workers(&dir, n, &format!("http-{n}"), || {
+        let (reports, _) = run_workers(&dir, n, &format!("http-{n}"), || {
             Box::new(HttpChannel::new(&base_url).unwrap())
         });
         server.shutdown();
@@ -202,6 +191,40 @@ fn loopback_http_workers_merge_byte_identical_to_single_sink() {
             "loopback n={n}: merged store diverges from single-sink"
         );
         assert_exactly_once(&coord, &reports, &dest, &dir.file("reference.yts"));
+    }
+}
+
+/// A partitioned collection on one host: two in-process workers over a
+/// 1-, 2- and 4-way split (4 is degenerate for the two-topic plan: two
+/// topic ranges are empty) merge to the single-sink bytes, and the
+/// simulated API's own ledger charges each run exactly what one
+/// scheduler is charged for the whole plan.
+#[test]
+fn every_shard_count_merges_identically_and_is_charged_the_single_scheduler_total() {
+    let dir = TempDir::new("dist-equiv-shards");
+    let config = plan();
+    let reference_bytes = reference(&dir, &config);
+    let single_charge = h::single_scheduler_charge(SCALE, KEY, &config);
+    assert!(single_charge > 0);
+
+    for shards in [1usize, 2, 4] {
+        let dest = dir.file(&format!("dist-shards-{shards}.yts"));
+        let coord = coordinator(&config, &dest, shards);
+        let (reports, charged) = run_workers(&dir, 2, &format!("shards-{shards}"), || {
+            Box::new(LocalChannel::new(Arc::clone(&coord)))
+        });
+        assert!(coord.all_committed(), "shards={shards}");
+        coord.merge().unwrap();
+        assert_eq!(
+            std::fs::read(&dest).unwrap(),
+            reference_bytes,
+            "shards={shards}: merged store diverges from single-sink"
+        );
+        assert_exactly_once(&coord, &reports, &dest, &dir.file("reference.yts"));
+        assert_eq!(
+            charged, single_charge,
+            "shards={shards}: server charge diverges from the single-scheduler total"
+        );
     }
 }
 
@@ -331,11 +354,11 @@ fn synthetic_fixture(
 fn synthetic_shippers_over_loopback_merge_byte_identical_for_every_topology() {
     let dir = TempDir::new("dist-equiv-synthetic");
     let config = plan();
-    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, prop_seed(7));
+    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, h::prop_seed(7));
 
     for n in WORKER_COUNTS {
         let dest = dir.file(&format!("synthetic-{n}.yts"));
-        let coord = coordinator(&config, &dest);
+        let coord = coordinator(&config, &dest, 2);
         let handler: Arc<dyn ytaudit::net::Handler> = Arc::clone(&coord) as _;
         let server = Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap();
         let base_url = server.base_url();
@@ -375,10 +398,10 @@ fn synthetic_shippers_over_loopback_merge_byte_identical_for_every_topology() {
 fn synthetic_shippers_in_process_merge_byte_identical() {
     let dir = TempDir::new("dist-equiv-synthetic-local");
     let config = plan();
-    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, prop_seed(12));
+    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, h::prop_seed(12));
 
     let dest = dir.file("synthetic-local.yts");
-    let coord = coordinator(&config, &dest);
+    let coord = coordinator(&config, &dest, 2);
     let reports: Vec<WorkerReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..2)
             .map(|i| {

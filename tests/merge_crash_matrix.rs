@@ -1,5 +1,5 @@
-//! The crash matrix: a kill injected at every phase boundary of a
-//! sharded collection — mid-shard-commit, during a shard's finish,
+//! The merge crash matrix: a kill injected at every phase boundary of a
+//! partitioned collection — mid-shard-commit, during a shard's finish,
 //! pre-merge, at every mid-merge commit, mid-merge-finish, and
 //! post-merge-pre-rename — must leave the run resumable, and the
 //! resumed run's merged store must stay byte-identical to a crash-free
@@ -14,21 +14,16 @@
 //! The faultpoint registry is process-global, so every test here
 //! serializes on one mutex and disarms on drop.
 
-mod shard_harness;
+mod store_harness;
 
-use shard_harness as h;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+use store_harness as h;
 use ytaudit::core::shard::shard_configs;
-use ytaudit::core::testutil::test_client;
-use ytaudit::core::{Collector, CollectorSink};
+use ytaudit::core::CollectorSink;
 use ytaudit::platform::faultpoint;
-use ytaudit::sched::{run_sharded, InProcessFactory, QuotaGovernor, SchedulerConfig};
-use ytaudit::store::{discover_shard_paths, merge_shards, shard_store_path, Store, TempDir};
+use ytaudit::store::{merge_shards, shard_store_path, Store, TempDir};
 use ytaudit::types::Topic;
-
-const SCALE: f64 = 0.08;
-const KEY: &str = "research-key";
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -94,7 +89,7 @@ fn crash_mid_shard_commit_resumes_to_identical_merged_bytes() {
         faultpoint::reset();
     }
 
-    // `collect --shards 2 --resume`: reopen the shard store, skip the
+    // The restarted shard writer resumes: reopen the shard store, skip the
     // pairs already on disk, commit the rest, finish.
     {
         let mut store = Store::open_or_create(&path0).unwrap();
@@ -313,64 +308,4 @@ fn merge_crash_at_phase_boundaries_resumes_byte_identically() {
         assert!(!tmp.exists() && dest.exists());
         assert_eq!(std::fs::read(&dest).unwrap(), reference);
     }
-}
-
-/// End to end through the real pipeline: a worker of a scheduler-driven
-/// sharded run dies mid-commit, the run reports an incomplete drain,
-/// `--resume` completes it, and the merge still reproduces the
-/// sequential single-sink bytes.
-#[test]
-fn scheduler_crash_resume_merge_matches_sequential_end_to_end() {
-    let _guard = exclusive();
-    let dir = TempDir::new("crash-sched-e2e");
-    let config = h::plan(vec![Topic::Higgs, Topic::Blm], 2);
-
-    let seq_path = dir.file("sequential.yts");
-    {
-        let (client, _service) = test_client(SCALE);
-        let mut store = Store::create(&seq_path).unwrap();
-        Collector::new(&client, config.clone())
-            .run_with_sink(&mut store)
-            .unwrap();
-        assert!(store.complete());
-    }
-    let seq_bytes = std::fs::read(&seq_path).unwrap();
-
-    let dest = dir.file("sharded.yts");
-    let (_client, service) = test_client(SCALE);
-    let factory = InProcessFactory::new(service);
-    let sched = SchedulerConfig::new(2, KEY);
-
-    // One shard's second commit dies; its scheduler drains gracefully
-    // and the whole run reports incomplete.
-    faultpoint::arm("store.commit", 2);
-    let report = run_sharded(
-        &factory,
-        &config,
-        &sched,
-        2,
-        Arc::new(QuotaGovernor::unlimited()),
-        &dest,
-        false,
-    )
-    .unwrap();
-    assert!(!report.completed(), "{report:?}");
-    faultpoint::reset();
-
-    // `collect --shards 2 --resume` picks the run back up.
-    let report = run_sharded(
-        &factory,
-        &config,
-        &sched,
-        2,
-        Arc::new(QuotaGovernor::unlimited()),
-        &dest,
-        true,
-    )
-    .unwrap();
-    assert!(report.completed(), "{report:?}");
-
-    let shard_paths = discover_shard_paths(&dest).unwrap();
-    merge_shards(&dest, &shard_paths).unwrap();
-    assert_eq!(std::fs::read(&dest).unwrap(), seq_bytes);
 }

@@ -1,29 +1,24 @@
-//! Sharded collection ≡ single sink, end to end: merging the shard
-//! stores of a `collect --shards N` run yields a `.yts` file that is
-//! byte-identical to a single-sink collection of the same plan, for any
-//! shard count — including degenerate splits with more shards than
-//! topics — and any plan shape (seeded property test, no ambient
-//! entropy).
+//! Merge ≡ single sink: folding a shard set with `merge_shards` yields
+//! a `.yts` file byte-identical to a single-sink collection of the same
+//! plan, for any shard count — including degenerate splits with more
+//! shards than topics — and any plan shape (seeded property test, no
+//! ambient entropy). The shard sets come from the store harness, split
+//! by `core::shard` exactly as `coordinate` splits a plan; the end-to-end
+//! runs through real workers live in `dist_equivalence.rs`.
 
 // Modulo-based flag derivations read better than `is_multiple_of` here
 // (and the method needs a newer toolchain than rust-version pins).
 #![allow(clippy::manual_is_multiple_of)]
 
-mod shard_harness;
+mod store_harness;
 
-use shard_harness as h;
-use ytaudit::core::testutil::test_client;
-use ytaudit::core::{Collector, CollectorConfig};
-use ytaudit::sched::{run_sharded, InProcessFactory, QuotaGovernor, SchedulerConfig};
-use ytaudit::store::{discover_shard_paths, merge_shards, Store, TempDir};
+use store_harness as h;
+use ytaudit::core::CollectorConfig;
+use ytaudit::store::{merge_shards, Store, TempDir};
 use ytaudit::types::Topic;
 
-const SCALE: f64 = 0.08;
-const KEY: &str = "research-key";
-
 /// The fixed property-test seed; CI rotates it via `YTAUDIT_PROP_SEED`
-/// (derived from the commit SHA) so fresh plans are explored on every
-/// push while any failure stays reproducible from the logged seed.
+/// (see [`h::prop_seed`]).
 const DEFAULT_PROP_SEED: u64 = 0x5EED_CAFE_D15C_0DE5;
 
 /// A splitmix64 step — the suite's only entropy source, fully
@@ -34,19 +29,6 @@ fn next(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn prop_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        // Any string seeds the run: numeric values parse directly,
-        // anything else (a commit SHA) is FNV-hashed.
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => DEFAULT_PROP_SEED,
-    }
 }
 
 #[test]
@@ -96,7 +78,7 @@ fn merged_store_passes_verification_and_loads_the_same_dataset() {
 /// topic set, snapshot count, and fetch flags, N in 1..=8.
 #[test]
 fn property_random_plans_merge_byte_identically() {
-    let seed = prop_seed();
+    let seed = h::prop_seed(DEFAULT_PROP_SEED);
     let dir = TempDir::new("shard-equiv-prop");
     let mut state = seed;
     for round in 0..6 {
@@ -211,51 +193,4 @@ fn mismatched_shard_manifests_fail_typed_before_any_merge_tmp_exists() {
     let good = dir.file("good.yts");
     merge_shards(&good, &yt_paths).unwrap();
     assert!(good.exists());
-}
-
-/// The acceptance check, end to end through the real pipeline: a
-/// scheduler-driven `collect --shards N` run plus `store merge` is
-/// byte-identical to the sequential single-sink store for
-/// N ∈ {1, 2, 4, 8}.
-#[test]
-fn sharded_collect_plus_merge_matches_the_sequential_store_end_to_end() {
-    let dir = TempDir::new("shard-equiv-e2e");
-    let config = h::plan(vec![Topic::Higgs, Topic::Blm], 2);
-
-    let seq_path = dir.file("sequential.yts");
-    {
-        let (client, _service) = test_client(SCALE);
-        let mut store = Store::create(&seq_path).unwrap();
-        Collector::new(&client, config.clone())
-            .run_with_sink(&mut store)
-            .unwrap();
-        assert!(store.complete());
-    }
-    let seq_bytes = std::fs::read(&seq_path).unwrap();
-
-    for shards in [1usize, 2, 4, 8] {
-        let dest = dir.file(&format!("sharded-{shards}.yts"));
-        let (_client, service) = test_client(SCALE);
-        let factory = InProcessFactory::new(service);
-        let report = run_sharded(
-            &factory,
-            &config,
-            &SchedulerConfig::new(2, KEY),
-            shards,
-            std::sync::Arc::new(QuotaGovernor::unlimited()),
-            &dest,
-            false,
-        )
-        .unwrap();
-        assert!(report.completed(), "shards={shards}: {report:?}");
-
-        let shard_paths = discover_shard_paths(&dest).unwrap();
-        assert_eq!(shard_paths.len(), shards + 1, "shards={shards}");
-        merge_shards(&dest, &shard_paths).unwrap();
-        assert_eq!(
-            std::fs::read(&dest).unwrap(),
-            seq_bytes,
-            "merged store bytes diverge from sequential at shards={shards}"
-        );
-    }
 }

@@ -15,12 +15,8 @@ use ytaudit::core::{Analyzer, Collector, CollectorConfig, CollectorSink};
 use ytaudit::dist::{run_worker, Coordinator, LocalChannel, WorkerConfig};
 use ytaudit::platform::clock::RealClock;
 use ytaudit::platform::{Platform as CorpusPlatform, SimClock};
-use ytaudit::sched::{
-    run_sharded, InProcessFactory, QuotaGovernor, Scheduler, SchedulerConfig, TikTokFactory,
-};
-use ytaudit::store::{
-    discover_shard_paths, follow_analyze, merge_shards, FollowOptions, Store, StoreError, TempDir,
-};
+use ytaudit::sched::{InProcessFactory, Scheduler, SchedulerConfig, TikTokFactory};
+use ytaudit::store::{follow_analyze, FollowOptions, Store, StoreError, TempDir};
 use ytaudit::tiktok::testutil::{test_service, test_tiktok_client, TEST_KEY};
 use ytaudit::tiktok::{QuirkConfig, TikTokClient, TikTokService, TikTokTransport};
 use ytaudit::types::{Error, PlatformKind, Topic};
@@ -128,36 +124,6 @@ fn tiktok_scheduler_store_is_byte_identical_to_sequential() {
 }
 
 #[test]
-fn tiktok_sharded_run_with_channels_merges_byte_identical_to_sequential() {
-    let dir = TempDir::new("platform-matrix-shard");
-    let seq_bytes = sequential_tiktok_store(&dir);
-    assert!(tiktok_config().fetch_channels);
-
-    // The finish phase fetches creator metadata through the TikTok
-    // client, not a YouTube client speaking to the TikTok service.
-    let factory = TikTokFactory::new(test_service(SCALE));
-    let dest = dir.file("sharded.yts");
-    let report = run_sharded(
-        &factory,
-        &tiktok_config(),
-        &SchedulerConfig::new(2, TEST_KEY),
-        2,
-        Arc::new(QuotaGovernor::unlimited()),
-        &dest,
-        false,
-    )
-    .unwrap();
-    assert!(report.completed());
-    assert!(report.channels > 0, "finish phase fetched no creators");
-    merge_shards(&dest, &discover_shard_paths(&dest).unwrap()).unwrap();
-    assert_eq!(
-        std::fs::read(&dest).unwrap(),
-        seq_bytes,
-        "merged TikTok shards diverge from the single-sink store"
-    );
-}
-
-#[test]
 fn tiktok_dist_topology_completes_byte_identical_to_sequential() {
     let dir = TempDir::new("platform-matrix-dist");
     let seq_bytes = sequential_tiktok_store(&dir);
@@ -185,6 +151,14 @@ fn tiktok_dist_topology_completes_byte_identical_to_sequential() {
         std::fs::read(&dest).unwrap(),
         seq_bytes,
         "merged TikTok dist store diverges from the single-sink store"
+    );
+    // The finish range fetched creator metadata through the TikTok
+    // client, not a YouTube client speaking to the TikTok service.
+    assert!(tiktok_config().fetch_channels);
+    let merged = Store::open(&dest).unwrap().load_dataset().unwrap();
+    assert!(
+        !merged.channel_meta.is_empty(),
+        "finish range fetched no creators"
     );
 }
 

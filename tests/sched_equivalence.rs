@@ -1,8 +1,11 @@
 //! Scheduler ≡ sequential equivalence, end to end: for a fixed corpus
 //! seed, the concurrent scheduler produces the *identical* dataset —
-//! down to the bytes of a `--store` file — for any worker count.
+//! down to the bytes of a `--store` file — for any worker count, and
+//! reports exactly the quota the simulated API's own ledger charged it,
+//! paced or not.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 use ytaudit::api::FaultConfig;
 use ytaudit::client::{Transport, YouTubeClient};
@@ -10,7 +13,8 @@ use ytaudit::core::testutil::{test_client, test_client_with_faults};
 use ytaudit::core::{Collector, CollectorConfig, MemorySink, Platform};
 use ytaudit::net::{Backoff, RetryPolicy};
 use ytaudit::sched::{
-    InProcessFactory, RunReport, Scheduler, SchedulerConfig, TaskRetryPolicy, TransportFactory,
+    InProcessFactory, QuotaGovernor, RunReport, Scheduler, SchedulerConfig, TaskRetryPolicy,
+    TransportFactory,
 };
 use ytaudit::store::{Store, TempDir};
 use ytaudit::types::Topic;
@@ -83,6 +87,42 @@ fn scheduler_store_files_are_byte_identical_to_the_sequential_store() {
             "store bytes diverge at workers={workers}"
         );
     }
+}
+
+/// Runs `config()` on two workers paced through `governor`; returns the
+/// report and the quota the simulated API's own ledger charged.
+fn governed_run(governor: QuotaGovernor) -> (RunReport, u64) {
+    let (_client, service) = test_client(SCALE);
+    let factory = InProcessFactory::new(Arc::clone(&service));
+    let report = Scheduler::new(&factory, config(), SchedulerConfig::new(2, KEY))
+        .with_governor(Arc::new(governor))
+        .run(&mut MemorySink::new())
+        .unwrap();
+    assert!(report.completed(), "{:?}", report.outcome);
+    (report, service.quota().lifetime_used(KEY))
+}
+
+/// The quota a run reports is the server's own charge, read off
+/// `ApiService::quota`, not a client-side estimate.
+#[test]
+fn reported_quota_equals_the_server_ledger() {
+    let (report, charged) = governed_run(QuotaGovernor::unlimited());
+    assert!(charged > 0);
+    assert_eq!(
+        report.quota_units, charged,
+        "scheduler quota total diverges from the server's ledger"
+    );
+}
+
+/// Pacing through a real token bucket charges the unpaced total: the
+/// rate is high enough never to block, but every admission goes
+/// through the bucket's accounting instead of the unlimited fast path.
+#[test]
+fn rate_limited_governor_is_charged_the_unlimited_total() {
+    let (_, unlimited) = governed_run(QuotaGovernor::unlimited());
+    let (report, paced) = governed_run(QuotaGovernor::per_second(1_000_000.0, 1_000_000.0));
+    assert_eq!(paced, unlimited);
+    assert_eq!(report.quota_units, paced);
 }
 
 /// Builds YouTube clients that never retry a request, so an injected

@@ -1,8 +1,10 @@
-//! Shared synthetic-collection harness for the sharded-store suites.
+//! Shared synthetic-collection harness for the merge, dist and analyze
+//! suites.
 //!
-//! These helpers drive the store layer directly — no API client, no
-//! scheduler — with payloads that are a pure function of `(topic,
-//! snapshot, seed)`. Because single-sink commit bytes are deterministic
+//! Apart from [`single_scheduler_charge`], the API-level total the dist
+//! suites compare against, these helpers drive the store layer directly
+//! — no API client, no scheduler — with payloads that are a pure
+//! function of `(topic, snapshot, seed)`. Because single-sink commit bytes are deterministic
 //! on the payloads alone, a reference store built here is byte-identical
 //! to what any crash-free collector would have written for the same
 //! data, which lets the crash-matrix and property suites check the
@@ -17,17 +19,55 @@
 #![allow(clippy::manual_is_multiple_of)]
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use ytaudit::core::dataset::{
     ChannelInfo, CommentFetchError, CommentRecord, CommentsSnapshot, HourlyResult, TopicSnapshot,
     VideoInfo,
 };
 use ytaudit::core::shard::{finish_config, shard_configs};
-use ytaudit::core::{CollectorConfig, CollectorSink, TopicCommit};
+use ytaudit::core::testutil::test_client;
+use ytaudit::core::{CollectorConfig, CollectorSink, MemorySink, TopicCommit};
+use ytaudit::sched::{InProcessFactory, Scheduler, SchedulerConfig};
 use ytaudit::store::{finish_store_path, shard_store_path, Store};
 use ytaudit::types::{ChannelId, Timestamp, Topic, VideoId};
 
 /// Quota units the synthetic channel-fetch phase reports.
 pub const FINISH_DELTA: u64 = 9;
+
+/// A suite's payload or plan seed: `fixed` unless `YTAUDIT_PROP_SEED`
+/// is set (CI sets it from the commit SHA), in which case that value —
+/// a number, or any other string FNV-hashed — is folded into `fixed`.
+/// Every push then explores fresh payloads; the variable's value goes
+/// to the test's captured output, so a failure log names what to set
+/// to reproduce it.
+pub fn prop_seed(fixed: u64) -> u64 {
+    match std::env::var("YTAUDIT_PROP_SEED") {
+        Ok(raw) => {
+            let rotated = raw.parse().unwrap_or_else(|_| {
+                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+            });
+            let seed = rotated ^ fixed;
+            eprintln!("YTAUDIT_PROP_SEED={raw}: seed {fixed:#x} becomes {seed:#x}");
+            seed
+        }
+        Err(_) => fixed,
+    }
+}
+
+/// The quota the simulated API's own ledger charges one two-worker
+/// scheduler, on a fresh corpus of `scale` with `key`, for the whole of
+/// `config`: the total every partitioned run must match.
+pub fn single_scheduler_charge(scale: f64, key: &str, config: &CollectorConfig) -> u64 {
+    let (_client, service) = test_client(scale);
+    let factory = InProcessFactory::new(Arc::clone(&service));
+    let report = Scheduler::new(&factory, config.clone(), SchedulerConfig::new(2, key))
+        .run(&mut MemorySink::new())
+        .unwrap();
+    assert!(report.completed(), "{:?}", report.outcome);
+    service.quota().lifetime_used(key)
+}
 
 /// A quick plan over `topics` with comments on (the widest record
 /// variety: blobs, hour blocks, ref blocks, comment tails).
@@ -237,8 +277,8 @@ pub fn build_finish_shard(
 }
 
 /// Builds a complete `count`-way shard set for `parent` next to `dest`
-/// (the future merged path), mirroring what a crash-free
-/// `collect --shards count` run leaves behind. Returns the shard paths.
+/// (the future merged path), mirroring what the workers of a crash-free
+/// `coordinate --shards count` run ship. Returns the shard paths.
 pub fn build_shards(
     dest: &Path,
     parent: &CollectorConfig,
