@@ -94,8 +94,10 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
     let args = Args::parse(tokens, FLAGS)?;
     let command = args.positional(0).unwrap_or("help");
     if args.flag("help") {
-        println!("{}", commands::usage_for(command).unwrap_or(USAGE));
-        return Ok(());
+        return print_usage(
+            &mut std::io::stdout().lock(),
+            commands::usage_for(command).unwrap_or(USAGE),
+        );
     }
     if let Some(usage) = commands::usage_for(command) {
         args.reject_unknown(command, usage)?;
@@ -110,13 +112,22 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
         "quota" => commands::quota::run(&args),
         "lint" => commands::lint::run(&args),
         "topics" => commands::topics::run(&args),
-        "help" | "--help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" => print_usage(&mut std::io::stdout().lock(), USAGE),
         other => Err(ArgError(format!(
             "unknown command {other:?}; run `ytaudit help`"
         ))),
+    }
+}
+
+/// Writes usage text to `out`. A reader that closed the pipe early
+/// (`ytaudit collect --help | head`) wanted no more of it: that is a
+/// quiet success, not a panic.
+fn print_usage(out: &mut impl std::io::Write, text: &str) -> Result<(), ArgError> {
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(err) if err.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(ArgError(format!("cannot write usage: {err}")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -158,5 +169,29 @@ mod tests {
             let usage = commands::usage_for(command).unwrap();
             assert_eq!(args.reject_unknown(command, usage), Ok(()), "{line}");
         }
+    }
+
+    /// A writer whose every write fails with `kind`.
+    struct Failing(std::io::ErrorKind);
+
+    impl std::io::Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn usage_on_a_closed_pipe_is_a_quiet_success() {
+        let mut closed = Failing(std::io::ErrorKind::BrokenPipe);
+        assert!(print_usage(&mut closed, USAGE).is_ok());
+        let mut full = Failing(std::io::ErrorKind::StorageFull);
+        assert!(print_usage(&mut full, USAGE).is_err());
+        let mut out = Vec::new();
+        print_usage(&mut out, "usage: x").unwrap();
+        assert_eq!(out, b"usage: x\n");
     }
 }

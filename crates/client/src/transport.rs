@@ -7,8 +7,9 @@
 use std::sync::Arc;
 use ytaudit_api::quota::Endpoint;
 use ytaudit_api::service::{ApiRequest, ApiService};
-use ytaudit_net::url::encode_component;
-use ytaudit_net::{HttpClient, Request, Url};
+use ytaudit_net::framing::Outgoing;
+use ytaudit_net::url::encode_component_into;
+use ytaudit_net::{HttpClient, Method, Url};
 use ytaudit_types::{Error, Result, Timestamp};
 
 /// A way to execute one Data API call.
@@ -95,8 +96,94 @@ impl Transport for InProcessTransport {
 /// can keep a handle to read connection-pool statistics after the run.
 pub struct HttpTransport {
     client: Arc<HttpClient>,
-    base_url: String,
+    /// The base URL, parsed once, or why it does not parse.
+    base: std::result::Result<Base, Error>,
     max_in_flight: usize,
+}
+
+/// A parsed base URL: where to connect, and the path prefix its text
+/// carries before `/youtube/v3/…` (empty for `http://host:port`).
+struct Base {
+    url: Url,
+    prefix: String,
+}
+
+impl Base {
+    fn parse(text: &str) -> Result<Base> {
+        let url = Url::parse(text).map_err(|e| Error::Protocol(e.to_string()))?;
+        if text.contains(['?', '#']) {
+            return Err(Error::Protocol(format!(
+                "base URL {text:?} must not carry a query or fragment"
+            )));
+        }
+        // `Url::parse` accepted `scheme://authority[/path]`; the path is
+        // whatever follows the authority, verbatim.
+        let after_scheme = text.split_once("://").map_or("", |(_, rest)| rest);
+        let prefix = after_scheme
+            .find('/')
+            .map_or("", |at| &after_scheme[at..])
+            .to_string();
+        Ok(Base { url, prefix })
+    }
+}
+
+/// One Data API call as it goes on the wire, written straight from its
+/// parts into the connection's buffer: each parameter is percent-encoded
+/// once, and no `Request` or query string is built.
+struct ApiCall<'a> {
+    prefix: &'a str,
+    endpoint: Endpoint,
+    params: &'a [(String, String)],
+    api_key: &'a str,
+    now: Option<Timestamp>,
+}
+
+impl Outgoing for ApiCall<'_> {
+    fn method(&self) -> Method {
+        Method::Get
+    }
+
+    fn write_target(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.prefix.as_bytes());
+        out.extend_from_slice(b"/youtube/v3/");
+        out.extend_from_slice(self.endpoint.path().as_bytes());
+        out.push(b'?');
+        for (k, v) in self.params {
+            encode_component_into(out, k);
+            out.push(b'=');
+            encode_component_into(out, v);
+            out.push(b'&');
+        }
+        out.extend_from_slice(b"key=");
+        encode_component_into(out, self.api_key);
+    }
+
+    fn write_headers(&self, out: &mut Vec<u8>) {
+        if let Some(t) = self.now {
+            out.extend_from_slice(b"x-sim-time: ");
+            // Writing to a byte buffer cannot fail.
+            let _ = t.write_rfc3339(&mut Bytes(out));
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+
+    fn has_header(&self, name: &str) -> bool {
+        name == "x-sim-time" && self.now.is_some()
+    }
+
+    fn body(&self) -> &[u8] {
+        &[]
+    }
+}
+
+/// `fmt::Write` onto a byte buffer.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl std::fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl HttpTransport {
@@ -118,7 +205,7 @@ impl HttpTransport {
     ) -> HttpTransport {
         HttpTransport {
             client,
-            base_url: base_url.into(),
+            base: Base::parse(&base_url.into()),
             max_in_flight: 1,
         }
     }
@@ -131,40 +218,15 @@ impl HttpTransport {
         self
     }
 
-    /// Builds the URL and GET request for one API call.
-    fn build_request(
-        &self,
-        endpoint: Endpoint,
-        params: &[(String, String)],
-        api_key: &str,
-        now: Option<Timestamp>,
-    ) -> Result<(Url, Request)> {
-        let mut query = String::new();
-        for (k, v) in params {
-            if !query.is_empty() {
-                query.push('&');
-            }
-            query.push_str(&encode_component(k));
-            query.push('=');
-            query.push_str(&encode_component(v));
-        }
-        if !query.is_empty() {
-            query.push('&');
-        }
-        query.push_str("key=");
-        query.push_str(&encode_component(api_key));
-        let url_text = format!("{}/youtube/v3/{}?{}", self.base_url, endpoint.path(), query);
-        let url = Url::parse(&url_text).map_err(|e| Error::Protocol(e.to_string()))?;
-        let mut request = Request::get(url.path.clone()).with_query(url.query.clone());
-        if let Some(t) = now {
-            request = request.with_header("x-sim-time", t.to_rfc3339());
-        }
-        Ok((url, request))
+    /// The parsed base URL, or the error every call reports.
+    fn base(&self) -> Result<&Base> {
+        self.base.as_ref().map_err(Clone::clone)
     }
 }
 
 /// Decodes an HTTP response into the transport's (status, body) pair.
-fn decode_response(response: ytaudit_net::Response) -> Result<(u16, String)> {
+fn decode_response(response: ytaudit_net::Result<ytaudit_net::Response>) -> Result<(u16, String)> {
+    let response = response.map_err(|e| Error::Io(e.to_string()))?;
     let body = String::from_utf8(response.body)
         .map_err(|_| Error::Decode("non-UTF-8 response body".into()))?;
     Ok((response.status.0, body))
@@ -178,12 +240,15 @@ impl Transport for HttpTransport {
         api_key: &str,
         now: Option<Timestamp>,
     ) -> Result<(u16, String)> {
-        let (url, request) = self.build_request(endpoint, params, api_key, now)?;
-        let response = self
-            .client
-            .send(&url, &request)
-            .map_err(|e| Error::Io(e.to_string()))?;
-        decode_response(response)
+        let base = self.base()?;
+        let call = ApiCall {
+            prefix: &base.prefix,
+            endpoint,
+            params,
+            api_key,
+            now,
+        };
+        decode_response(self.client.send(&base.url, &call))
     }
 
     fn execute_many(
@@ -194,39 +259,25 @@ impl Transport for HttpTransport {
         now: Option<Timestamp>,
     ) -> Vec<Result<(u16, String)>> {
         // All calls share one authority, so the whole batch can ride
-        // pipelined connections. Request building is infallible for the
-        // parameter sets the client produces, but a malformed one fails
-        // just its own slot.
-        let mut url = None;
-        let mut requests = Vec::with_capacity(param_sets.len());
-        let built: Vec<Result<()>> = param_sets
+        // pipelined connections.
+        let base = match self.base() {
+            Ok(base) => base,
+            Err(err) => return param_sets.iter().map(|_| Err(err.clone())).collect(),
+        };
+        let calls: Vec<ApiCall<'_>> = param_sets
             .iter()
-            .map(|params| {
-                let (u, request) = self.build_request(endpoint, params, api_key, now)?;
-                url.get_or_insert(u);
-                requests.push(request);
-                Ok(())
+            .map(|params| ApiCall {
+                prefix: &base.prefix,
+                endpoint,
+                params,
+                api_key,
+                now,
             })
             .collect();
-        let mut responses = match url {
-            Some(url) => self
-                .client
-                .send_pipelined(&url, &requests, self.max_in_flight)
-                .into_iter(),
-            None => Vec::new().into_iter(),
-        };
-        built
+        self.client
+            .send_pipelined(&base.url, &calls, self.max_in_flight)
             .into_iter()
-            .map(|b| match b {
-                Ok(()) => match responses.next() {
-                    Some(Ok(response)) => decode_response(response),
-                    Some(Err(err)) => Err(Error::Io(err.to_string())),
-                    None => Err(Error::Io(
-                        "pipelined batch returned too few responses".into(),
-                    )),
-                },
-                Err(err) => Err(err),
-            })
+            .map(decode_response)
             .collect()
     }
 

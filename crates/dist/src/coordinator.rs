@@ -10,8 +10,8 @@
 //!   Open ──────────▶ Leased{token} ─────────────────────▶ Committed
 //!    ▲                   │
 //!    └───────────────────┘
-//!      ttl elapsed with no renewal (lease expired; next grant
-//!      re-issues the range under a fresh fencing token)
+//!      ttl elapsed with no renewal, or the holder released it (the
+//!      next grant re-issues the range under a fresh fencing token)
 //! ```
 //!
 //! `Committed` is terminal and *durable*: its marker is the complete,
@@ -35,7 +35,8 @@
 use crate::protocol::{
     DistError, DistErrorKind, DistPlan, LeaseGrant, LeaseReply, LeaseRequest, RenewReply,
     RenewRequest, ShipBegin, ShipChunk, ShipCommit, ShipReply, ERROR_HEADER, LEASE_PATH,
-    METRICS_PATH, RENEW_PATH, SHIP_BEGIN_PATH, SHIP_CHUNK_PATH, SHIP_COMMIT_PATH, STATUS_PATH,
+    METRICS_PATH, RELEASE_PATH, RENEW_PATH, SHIP_BEGIN_PATH, SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
+    STATUS_PATH,
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
@@ -111,6 +112,8 @@ pub struct DistCounters {
     pub leases_granted: u64,
     /// Leases that expired without commit.
     pub leases_expired: u64,
+    /// Leases their holder handed back without commit.
+    pub leases_released: u64,
     /// Grants of a range that had been granted before (crash recovery).
     pub leases_reissued: u64,
     /// Shard stores durably installed.
@@ -135,6 +138,7 @@ pub struct Coordinator {
     next_token: AtomicU64,
     leases_granted: AtomicU64,
     leases_expired: AtomicU64,
+    leases_released: AtomicU64,
     leases_reissued: AtomicU64,
     shards_received: AtomicU64,
     duplicate_ships: AtomicU64,
@@ -192,6 +196,7 @@ impl Coordinator {
             next_token: AtomicU64::new(1),
             leases_granted: AtomicU64::new(0),
             leases_expired: AtomicU64::new(0),
+            leases_released: AtomicU64::new(0),
             leases_reissued: AtomicU64::new(0),
             shards_received: AtomicU64::new(0),
             duplicate_ships: AtomicU64::new(0),
@@ -228,6 +233,7 @@ impl Coordinator {
         DistCounters {
             leases_granted: self.leases_granted.load(Ordering::Relaxed),
             leases_expired: self.leases_expired.load(Ordering::Relaxed),
+            leases_released: self.leases_released.load(Ordering::Relaxed),
             leases_reissued: self.leases_reissued.load(Ordering::Relaxed),
             shards_received: self.shards_received.load(Ordering::Relaxed),
             duplicate_ships: self.duplicate_ships.load(Ordering::Relaxed),
@@ -483,6 +489,23 @@ impl Coordinator {
         Ok(RenewReply { ttl: self.ttl })
     }
 
+    /// `POST /dist/release`: the holder gives the lease up without
+    /// committing (its run failed), so the range is grantable at once
+    /// rather than after the ttl. A stale token is refused exactly as a
+    /// renewal would refuse it.
+    pub fn release(&self, req: &RenewRequest) -> Result<(), DistError> {
+        let mut state = self.state.lock();
+        self.sweep(&mut state);
+        let range = req.range as usize;
+        Coordinator::check_lease(&state, range, req.token)?;
+        state.uploads.remove(&range);
+        if let Some(info) = state.ranges.get_mut(range) {
+            info.state = RangeState::Open;
+        }
+        self.leases_released.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// `POST /dist/ship/begin`.
     pub fn ship_begin(&self, req: &ShipBegin) -> Result<ShipReply, DistError> {
         let mut state = self.state.lock();
@@ -679,6 +702,10 @@ impl Coordinator {
             counters.leases_expired
         ));
         out.push_str(&format!(
+            "  leases released      {}\n",
+            counters.leases_released
+        ));
+        out.push_str(&format!(
             "  leases reissued      {}\n",
             counters.leases_reissued
         ));
@@ -744,6 +771,11 @@ impl Handler for Coordinator {
                 RenewRequest::decode(&req.body)
                     .and_then(|r| self.renew(&r))
                     .map(|reply| reply.encode()),
+            ),
+            (Method::Post, RELEASE_PATH) => respond(
+                RenewRequest::decode(&req.body)
+                    .and_then(|r| self.release(&r))
+                    .map(|()| Vec::new()),
             ),
             (Method::Post, SHIP_BEGIN_PATH) => respond(
                 ShipBegin::decode(&req.body)

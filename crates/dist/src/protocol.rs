@@ -19,6 +19,7 @@
 //! |---------------------|---------------------|---------------------|
 //! | `POST /dist/lease`  | [`LeaseRequest`]    | [`LeaseReply`]      |
 //! | `POST /dist/renew`  | [`RenewRequest`]    | [`RenewReply`]      |
+//! | `POST /dist/release` | [`RenewRequest`]   | empty               |
 //! | `POST /dist/ship/begin`  | [`ShipBegin`]  | [`ShipReply`]       |
 //! | `POST /dist/ship/chunk`  | [`ShipChunk`]  | empty               |
 //! | `POST /dist/ship/commit` | [`ShipCommit`] | [`ShipReply`]       |
@@ -39,6 +40,9 @@ use ytaudit_types::wire::{self, Reader, WireError, Writer};
 pub const LEASE_PATH: &str = "/dist/lease";
 /// `POST` — heartbeat-renew a held lease.
 pub const RENEW_PATH: &str = "/dist/renew";
+/// `POST` — hand a held lease back before its ttl, so the range is
+/// grantable at once. The body names the lease as a renewal does.
+pub const RELEASE_PATH: &str = "/dist/release";
 /// `POST` — open a shard upload.
 pub const SHIP_BEGIN_PATH: &str = "/dist/ship/begin";
 /// `POST` — append one verified chunk to an open upload.
@@ -320,7 +324,7 @@ fn put_ttl(w: &mut Writer, ttl: Duration) {
     w.put_u64(ttl.as_millis().min(u128::from(u64::MAX)) as u64);
 }
 
-/// `POST /dist/renew` body.
+/// `POST /dist/renew` (and `POST /dist/release`) body: a held lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenewRequest {
     /// The leased range.

@@ -20,8 +20,8 @@
 use crate::coordinator::Coordinator;
 use crate::protocol::{
     DistError, DistErrorKind, LeaseGrant, LeaseReply, LeaseRequest, RenewRequest, ShipBegin,
-    ShipChunk, ShipReply, ERROR_HEADER, LEASE_PATH, RENEW_PATH, SHIP_BEGIN_PATH, SHIP_CHUNK_PATH,
-    SHIP_COMMIT_PATH,
+    ShipChunk, ShipReply, ERROR_HEADER, LEASE_PATH, RELEASE_PATH, RENEW_PATH, SHIP_BEGIN_PATH,
+    SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
 };
 use crate::retry::{classify, DistErrorClass};
 use std::path::PathBuf;
@@ -193,7 +193,19 @@ pub fn run_worker(
             LeaseReply::Grant(grant) => {
                 consecutive_waits = 0;
                 report.leases += 1;
-                match execute_and_ship(chan, factory, cfg, &grant) {
+                let outcome = execute_and_ship(chan, factory, cfg, &grant);
+                if outcome.is_err() {
+                    // Hand the range back so a successor need not wait out
+                    // the ttl. Best effort: a lease already lost is
+                    // refused, and an unreachable coordinator lets the
+                    // lease lapse as before.
+                    let release = RenewRequest {
+                        range: grant.range,
+                        token: grant.token,
+                    };
+                    let _ = post_once(chan, RELEASE_PATH, &release.encode());
+                }
+                match outcome {
                     Ok(ShipOutcome::Committed) => report.committed += 1,
                     Ok(ShipOutcome::Duplicate) => report.duplicates += 1,
                     Err(err) if classify(err.kind) == DistErrorClass::Abandon => {

@@ -185,6 +185,55 @@ fn renewal_inside_ttl_extends_the_lease_and_expiry_fences_it() {
 }
 
 #[test]
+fn a_released_lease_is_grantable_at_once_and_stale_releases_are_fenced() {
+    let dir = TempDir::new("dist-lease-release");
+    let parent = plan();
+    let clock = ManualClock::new();
+    let coord = coordinator(&parent, &dir.file("merged.yts"), &clock);
+
+    let g = grant(&coord, "quitter");
+    let held = RenewRequest {
+        range: g.range,
+        token: g.token,
+    };
+    // A wrong token or range is refused the way a renewal is.
+    let err = coord
+        .release(&RenewRequest {
+            token: g.token + 100,
+            ..held
+        })
+        .expect_err("foreign token must not release");
+    assert_eq!(err.kind, DistErrorKind::LeaseExpired);
+    let err = coord
+        .release(&RenewRequest { range: 99, ..held })
+        .expect_err("unknown range");
+    assert_eq!(err.kind, DistErrorKind::UnknownRange);
+
+    // The holder hands the range back: with no clock movement at all,
+    // the next lease re-issues it under a fresh token.
+    coord.release(&held).expect("holder releases");
+    assert_eq!(coord.counters().leases_released, 1);
+    assert_eq!(coord.counters().leases_expired, 0);
+    let successor = grant(&coord, "successor");
+    assert_eq!(successor.range, g.range);
+    assert_ne!(successor.token, g.token);
+    assert_eq!(coord.counters().leases_reissued, 1);
+
+    // The old token is dead: it can neither release nor renew the
+    // successor's lease.
+    let err = coord.release(&held).expect_err("stale release is fenced");
+    assert_eq!(err.kind, DistErrorKind::LeaseExpired);
+    let err = coord.renew(&held).expect_err("stale renew is fenced");
+    assert_eq!(err.kind, DistErrorKind::LeaseExpired);
+    coord
+        .renew(&RenewRequest {
+            range: successor.range,
+            token: successor.token,
+        })
+        .expect("the successor still holds it");
+}
+
+#[test]
 fn duplicate_ship_after_reissued_lease_is_a_verified_no_op() {
     let dir = TempDir::new("dist-lease-dup-ship");
     let parent = plan();

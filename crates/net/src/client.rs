@@ -8,8 +8,8 @@
 //! the server between requests) are detected by the first read failing and
 //! their idempotent requests replayed on a fresh connection.
 
-use crate::framing::{FrameLimits, MessageReader};
-use crate::message::{Request, Response};
+use crate::framing::{FrameLimits, MessageReader, Outgoing};
+use crate::message::{Method, Request, Response};
 use crate::pipeline::PipelinedConn;
 use crate::url::Url;
 use crate::{NetError, Result};
@@ -46,11 +46,47 @@ impl Default for ClientConfig {
     }
 }
 
-/// One pooled connection: the buffered read half plus a cloned write half,
-/// kept together so buffered bytes survive reuse.
+/// One pooled connection: the buffered read half plus a cloned write half
+/// and its (empty) write buffer, kept together so buffered bytes and the
+/// buffer's capacity survive reuse.
 struct PooledConn {
     reader: MessageReader<TcpStream>,
     writer: TcpStream,
+    out: Vec<u8>,
+}
+
+/// A request as the client sends it: the caller's request, plus the
+/// client's `user-agent` when the request carries none.
+struct WithAgent<'a, M: ?Sized> {
+    request: &'a M,
+    agent: &'a str,
+}
+
+impl<M: Outgoing + ?Sized> Outgoing for WithAgent<'_, M> {
+    fn method(&self) -> Method {
+        self.request.method()
+    }
+
+    fn write_target(&self, out: &mut Vec<u8>) {
+        self.request.write_target(out);
+    }
+
+    fn write_headers(&self, out: &mut Vec<u8>) {
+        self.request.write_headers(out);
+        if !self.request.has_header("user-agent") {
+            out.extend_from_slice(b"user-agent: ");
+            out.extend_from_slice(self.agent.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+
+    fn has_header(&self, name: &str) -> bool {
+        name == "user-agent" || self.request.has_header(name)
+    }
+
+    fn body(&self) -> &[u8] {
+        self.request.body()
+    }
 }
 
 /// Lifetime connection counters: how many TCP connections the client
@@ -161,6 +197,7 @@ impl HttpClient {
                     return Ok(PooledConn {
                         reader: MessageReader::new(stream),
                         writer,
+                        out: Vec::new(),
                     });
                 }
                 Err(e) => last_err = NetError::Io(e.to_string()),
@@ -193,7 +230,7 @@ impl HttpClient {
     /// batch rules of [`HttpClient::send_pipelined`]. The request's own
     /// path/query are used (callers typically build the request *from*
     /// the URL via [`HttpClient::get`]).
-    pub fn send(&self, url: &Url, request: &Request) -> Result<Response> {
+    pub fn send<M: Outgoing>(&self, url: &Url, request: &M) -> Result<Response> {
         self.send_pipelined(url, std::slice::from_ref(request), 1)
             .pop()
             .unwrap_or_else(|| Err(NetError::Protocol("driver returned no response".into())))
@@ -221,10 +258,10 @@ impl HttpClient {
     ///
     /// `max_in_flight = 1` is sequential keep-alive; [`HttpClient::send`]
     /// is this driver with one request.
-    pub fn send_pipelined(
+    pub fn send_pipelined<M: Outgoing>(
         &self,
         url: &Url,
-        requests: &[Request],
+        requests: &[M],
         max_in_flight: usize,
     ) -> Vec<Result<Response>> {
         let depth = max_in_flight.max(1);
@@ -235,7 +272,7 @@ impl HttpClient {
             // non-idempotent request is a segment of one.
             let run = rest
                 .iter()
-                .take_while(|r| r.method.is_idempotent())
+                .take_while(|r| r.method().is_idempotent())
                 .count()
                 .max(1);
             let (segment, tail) = rest.split_at(run);
@@ -248,10 +285,10 @@ impl HttpClient {
     /// Drives one segment (a run of idempotent requests, or a single
     /// non-idempotent one) through pipelined connections, appending one
     /// result per request to `results`.
-    fn drive_pipeline(
+    fn drive_pipeline<M: Outgoing>(
         &self,
         url: &Url,
-        requests: &[Request],
+        requests: &[M],
         depth: usize,
         results: &mut Vec<Result<Response>>,
     ) {
@@ -272,42 +309,29 @@ impl HttpClient {
                     }
                 },
             };
-            let mut pipe = PipelinedConn::from_parts(conn.reader, conn.writer, depth);
+            let mut pipe = PipelinedConn::from_parts(conn.reader, conn.writer, conn.out, depth);
             let mut submitted = 0usize;
             let mut got_any = false;
-            // A failed write kills the write side only: keep draining the
-            // responses already in flight (a server that answers a request
-            // then closes, with later pipelined requests unread in its
-            // buffer, fails our write while its answers are still readable),
-            // and surface the error once the drain is done.
-            let mut write_err: Option<NetError> = None;
-            let mut write_failed = false;
             let outcome: Result<()> = loop {
-                // Keep the pipe as full as the depth bound allows.
+                // Keep the pipe as full as the depth bound allows. Submits
+                // only encode; the batch goes on the wire in one write
+                // when the read below needs it.
                 while let Some(request) = remaining.get(submitted) {
-                    if write_err.is_some() || !pipe.can_submit(request.method) {
-                        break;
-                    }
-                    let mut req = request.clone();
-                    if !req.headers.contains("user-agent") {
-                        req.headers
-                            .set("user-agent", self.config.user_agent.clone());
-                    }
-                    if let Err(err) = pipe.submit(&req, &key) {
-                        write_err = Some(err);
-                        write_failed = true;
-                        break;
+                    let request = WithAgent {
+                        request,
+                        agent: &self.config.user_agent,
+                    };
+                    if pipe.submit(&request, &key).is_err() {
+                        break; // refused: full, closed, or not pipelinable
                     }
                     submitted += 1;
                     self.stats.note_depth(pipe.unanswered() as u64);
                 }
                 if pipe.unanswered() == 0 {
-                    match write_err.take() {
-                        // Everything on the wire is drained but the write
-                        // side is dead: reopen for the rest of the segment.
-                        Some(err) => break Err(err),
-                        None => break Ok(()), // segment submitted and answered
-                    }
+                    // Everything submitted is answered. A connection whose
+                    // write side died mid-segment is not pooled; the rest
+                    // of the segment goes out on a fresh one.
+                    break Ok(());
                 }
                 match pipe.read_next(&self.config.limits) {
                     Ok(response) => {
@@ -318,14 +342,9 @@ impl HttpClient {
                         got_any = true;
                         results.push(Ok(response));
                         answered += 1;
-                        if !pipe.is_open() {
-                            // `Connection: close`: requests written behind
-                            // this response will never be answered.
-                            break Err(NetError::UnexpectedEof(
-                                "server announced close mid-pipeline".into(),
-                            ));
-                        }
                     }
+                    // After `Connection: close` the next read fails at
+                    // once: requests written behind it are never answered.
                     Err(err) => break Err(err),
                 }
             };
@@ -333,15 +352,21 @@ impl HttpClient {
                 Ok(()) => {
                     // Pool the healthy connection for the next batch.
                     if pipe.is_open() {
-                        let (reader, writer) = pipe.into_parts();
-                        self.checkin(&key, PooledConn { reader, writer });
+                        let (reader, writer, out) = pipe.into_parts();
+                        self.checkin(
+                            &key,
+                            PooledConn {
+                                reader,
+                                writer,
+                                out,
+                            },
+                        );
                     }
                 }
                 Err(err) => {
-                    // A request whose write failed goes around again too.
-                    let unanswered = pipe.unanswered() as u64 + u64::from(write_failed);
+                    let unanswered = pipe.unanswered() as u64;
                     drop(pipe); // unknown state: never pool it
-                    if !got_any && (!reused || !first.method.is_idempotent()) {
+                    if !got_any && (!reused || !first.method().is_idempotent()) {
                         // A fresh connection that yielded nothing means
                         // the endpoint is down: do not redial forever. A
                         // non-idempotent request (alone in its segment)
@@ -350,10 +375,10 @@ impl HttpClient {
                         // as that ambiguity, never replayed.
                         let err = match err {
                             NetError::Io(_) | NetError::UnexpectedEof(_) if reused => {
+                                let method = first.method();
                                 NetError::UnexpectedEof(format!(
-                                    "{} on a reused connection failed before a response \
-                                     arrived (not replayed: {} is not idempotent): {err}",
-                                    first.method, first.method
+                                    "{method} on a reused connection failed before a response \
+                                     arrived (not replayed: {method} is not idempotent): {err}"
                                 ))
                             }
                             err => err,
@@ -692,6 +717,85 @@ mod tests {
             .post(&format!("{}/submit", server.base_url()), vec![b'a'; 1000])
             .unwrap();
         assert_eq!(resp.body_text().unwrap(), "got 1000 bytes");
+        server.shutdown();
+    }
+
+    /// Dials a scripted peer, completes one GET through `client` (so the
+    /// connection is pooled), then has the peer close with part of that
+    /// request unread, which resets the connection: the next write on it
+    /// fails. Returns the address, free again for a replacement server.
+    fn pool_a_reset_connection(client: &HttpClient) -> std::net::SocketAddr {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (close_tx, close_rx) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut some = [0u8; 8];
+            sock.read_exact(&mut some).unwrap();
+            sock.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nok")
+                .unwrap();
+            close_rx.recv().unwrap();
+        });
+        client.get(&format!("http://{addr}/first")).unwrap();
+        assert_eq!(client.idle_connections(), 1);
+        close_tx.send(()).unwrap();
+        peer.join().unwrap();
+        // Let the reset land before the next write.
+        std::thread::sleep(Duration::from_millis(50));
+        addr
+    }
+
+    #[test]
+    fn a_failed_flush_replays_and_counts_the_whole_batch() {
+        let client = HttpClient::new();
+        let addr = pool_a_reset_connection(&client);
+        let (server, hits) = {
+            let hits = Arc::new(AtomicU64::new(0));
+            let counter = Arc::clone(&hits);
+            let handler = Arc::new(move |req: &Request| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Response::text(StatusCode::OK, req.path.clone())
+            });
+            let server = Server::bind(&addr.to_string(), handler, ServerConfig::default()).unwrap();
+            (server, hits)
+        };
+        let url = Url::parse(&server.base_url()).unwrap();
+        let requests: Vec<Request> = ["/a", "/b", "/c"].map(Request::get).into();
+        let results = client.send_pipelined(&url, &requests, 4);
+        let bodies: Vec<String> = results
+            .into_iter()
+            .map(|r| r.unwrap().body_text().unwrap().to_string())
+            .collect();
+        assert_eq!(bodies, ["/a", "/b", "/c"]);
+        // The whole batch rode the failed write, so all three are replays,
+        // each answered once on the fresh connection.
+        assert_eq!(client.pool_stats().replays(), 3);
+        assert_eq!(client.pool_stats().opened(), 2);
+        assert_eq!(hits.load(Ordering::SeqCst), 3);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_post_whose_flush_fails_is_not_replayed() {
+        let client = HttpClient::new();
+        let addr = pool_a_reset_connection(&client);
+        let hits = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&hits);
+        let handler = Arc::new(move |_: &Request| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Response::text(StatusCode::OK, "fresh")
+        });
+        let server = Server::bind(&addr.to_string(), handler, ServerConfig::default()).unwrap();
+        let err = client
+            .post(
+                &format!("{}/submit", server.base_url()),
+                b"payload".to_vec(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, NetError::UnexpectedEof(_)), "{err:?}");
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(client.pool_stats().replays(), 0);
         server.shutdown();
     }
 }

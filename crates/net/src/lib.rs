@@ -41,6 +41,7 @@ pub mod server;
 pub mod url;
 
 pub use client::{HttpClient, PoolStats};
+pub use framing::Outgoing;
 pub use message::{Headers, Method, Request, Response, StatusCode};
 pub use resilience::{Backoff, RetryPolicy, TokenBucket};
 pub use server::{Handler, Server, ServerConfig, ServerHandle, ServerStats};

@@ -152,21 +152,20 @@ impl Headers {
         self.entries.push((lower, value.into()));
     }
 
-    /// First value of `name`, if present.
+    /// First value of `name`, if present. Stored names are lowercase, so
+    /// an ASCII case-insensitive compare needs no lowered copy.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
         self.entries
             .iter()
-            .find(|(n, _)| *n == lower)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
     /// All values of `name` in insertion order.
     pub fn get_all(&self, name: &str) -> Vec<&str> {
-        let lower = name.to_ascii_lowercase();
         self.entries
             .iter()
-            .filter(|(n, _)| *n == lower)
+            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
             .collect()
     }
@@ -178,8 +177,7 @@ impl Headers {
 
     /// Removes all values of `name`.
     pub fn remove(&mut self, name: &str) {
-        let lower = name.to_ascii_lowercase();
-        self.entries.retain(|(n, _)| *n != lower);
+        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
     }
 
     /// All `(name, value)` entries, names lowercased.
@@ -278,15 +276,6 @@ impl Request {
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Request {
         self.headers.append(name, value);
         self
-    }
-
-    /// The request-target for the request line.
-    pub fn target(&self) -> String {
-        if self.query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, self.query.encode())
-        }
     }
 }
 
@@ -446,11 +435,16 @@ mod tests {
                     .with("maxResults", "50"),
             )
             .with_header("x-api-key", "k");
+        let target = |req: &Request| {
+            let mut out = Vec::new();
+            crate::framing::Outgoing::write_target(req, &mut out);
+            String::from_utf8(out).unwrap()
+        };
         assert_eq!(
-            req.target(),
+            target(&req),
             "/youtube/v3/search?q=us+capitol&maxResults=50"
         );
-        assert_eq!(Request::get("/healthz").target(), "/healthz");
+        assert_eq!(target(&Request::get("/healthz")), "/healthz");
     }
 
     #[test]

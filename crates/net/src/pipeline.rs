@@ -9,6 +9,12 @@
 //! server answers in request order, so matching responses back to
 //! requests is a FIFO queue.
 //!
+//! Submitted requests are encoded into the connection's write buffer,
+//! and the buffer goes on the wire in one write just before a read that
+//! could block (RFC 9112 §9.3 lets a client send a pipelined batch
+//! together). A depth-4 batch is one write, not four, and nothing a
+//! read waits for is ever left in the buffer.
+//!
 //! The state machine is strict about what may ride a pipeline:
 //!
 //! * **Only idempotent methods are pipelined.** A non-idempotent request
@@ -22,17 +28,19 @@
 //!   connection reports them via [`PipelinedConn::unanswered`] so the
 //!   caller can resubmit them on a fresh connection.
 //! * **A read error poisons the connection; a write error only kills the
-//!   write side.** After a failed write nothing further may be submitted,
-//!   but responses to requests already on the wire may still be drained —
+//!   write side.** After a failed flush nothing further may be
+//!   submitted, and the requests that flush carried stay unanswered, but
+//!   responses to requests already on the wire may still be drained —
 //!   a server that answers then closes (with later pipelined requests
 //!   unread in its buffer) produces exactly this shape. After a read
 //!   error the stream position is unknown and nothing more can be
 //!   trusted; the caller resubmits the unanswered requests elsewhere.
 
-use crate::framing::{write_request, FrameLimits, MessageReader};
-use crate::message::{Method, Request, Response};
+use crate::framing::{encode_request, FrameLimits, MessageReader, Outgoing};
+use crate::message::{Method, Response};
 use crate::{NetError, Result};
 use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 
 /// Why a [`PipelinedConn`] refused a submission.
@@ -52,13 +60,20 @@ pub enum SubmitRefusal {
 ///
 /// Built from an already-buffered reader/writer pair via
 /// [`PipelinedConn::from_parts`], so pooled connections keep their
-/// buffered bytes. Writes go through `submit`, reads through
-/// `read_next`; responses come back strictly in request order.
-pub struct PipelinedConn {
-    reader: MessageReader<TcpStream>,
-    writer: TcpStream,
-    /// Methods of requests written but not yet answered, in wire order.
+/// buffered bytes. `submit` encodes a request into the connection's
+/// write buffer; the buffer goes on the wire in one write when a read
+/// needs it (or on [`PipelinedConn::flush`]), so a batch submitted
+/// together leaves together. Responses come back strictly in request
+/// order through `read_next`.
+pub struct PipelinedConn<R: Read = TcpStream, W: Write = TcpStream> {
+    reader: MessageReader<R>,
+    writer: W,
+    /// Requests encoded but not yet written, in wire order.
+    out: Vec<u8>,
+    /// Methods of requests submitted but not yet answered, in wire order.
     pending: VecDeque<Method>,
+    /// How many of the newest `pending` requests are still in `out`.
+    unflushed: usize,
     max_in_flight: usize,
     /// A response carried `Connection: close`: the server will answer
     /// nothing written after it.
@@ -70,19 +85,23 @@ pub struct PipelinedConn {
     poisoned: bool,
 }
 
-impl PipelinedConn {
-    /// Wraps an existing buffered reader and write half — how a pooled
-    /// keep-alive connection becomes pipelined without losing bytes the
-    /// reader already buffered.
+impl<R: Read, W: Write> PipelinedConn<R, W> {
+    /// Wraps an existing buffered reader, write half and (empty) write
+    /// buffer — how a pooled keep-alive connection becomes pipelined
+    /// without losing bytes the reader already buffered, or the write
+    /// buffer's capacity.
     pub fn from_parts(
-        reader: MessageReader<TcpStream>,
-        writer: TcpStream,
+        reader: MessageReader<R>,
+        writer: W,
+        out: Vec<u8>,
         max_in_flight: usize,
-    ) -> PipelinedConn {
+    ) -> PipelinedConn<R, W> {
         PipelinedConn {
             reader,
             writer,
+            out,
             pending: VecDeque::new(),
+            unflushed: 0,
             max_in_flight: max_in_flight.max(1),
             closing: false,
             write_dead: false,
@@ -90,7 +109,7 @@ impl PipelinedConn {
         }
     }
 
-    /// Requests written but not yet answered.
+    /// Requests submitted but not yet answered.
     pub fn unanswered(&self) -> usize {
         self.pending.len()
     }
@@ -117,42 +136,54 @@ impl PipelinedConn {
         None
     }
 
-    /// Whether `method` may be submitted right now.
-    pub fn can_submit(&self, method: Method) -> bool {
-        self.refusal(method).is_none()
-    }
-
-    /// Writes `request` onto the connection without waiting for earlier
-    /// responses. Fails (without writing) if [`can_submit`] is false; a
-    /// write error kills the write side only — responses to requests
-    /// already written may still be drained with [`read_next`].
+    /// Encodes `request` into the write buffer, behind earlier requests
+    /// whose responses have not arrived. Fails (without encoding) when
+    /// there is a [`refusal`]. Nothing reaches the wire until the next
+    /// [`flush`], which [`read_next`] makes before it could block.
     ///
-    /// [`can_submit`]: PipelinedConn::can_submit
+    /// [`refusal`]: PipelinedConn::refusal
+    /// [`flush`]: PipelinedConn::flush
     /// [`read_next`]: PipelinedConn::read_next
-    pub fn submit(&mut self, request: &Request, host: &str) -> Result<()> {
-        if let Some(refusal) = self.refusal(request.method) {
+    pub fn submit<M: Outgoing + ?Sized>(&mut self, request: &M, host: &str) -> Result<()> {
+        let method = request.method();
+        if let Some(refusal) = self.refusal(method) {
             return Err(NetError::Protocol(format!(
-                "pipeline refused {} request: {refusal:?}",
-                request.method
+                "pipeline refused {method} request: {refusal:?}"
             )));
         }
-        match write_request(&mut self.writer, request, host) {
-            Ok(()) => {
-                self.pending.push_back(request.method);
-                Ok(())
-            }
-            Err(err) => {
-                self.write_dead = true;
-                Err(err)
-            }
-        }
+        encode_request(&mut self.out, request, host);
+        self.pending.push_back(method);
+        self.unflushed += 1;
+        Ok(())
     }
 
-    /// Reads the response to the oldest unanswered request. A response
-    /// carrying `Connection: close` marks the connection closing (its
-    /// own bytes are still valid); a read error poisons the connection
-    /// and leaves the unanswered count untouched, so the caller knows
-    /// exactly which requests still need a home.
+    /// Writes every buffered request in one write. A failed write kills
+    /// the write side only: the requests it carried stay unanswered, and
+    /// responses to requests already on the wire may still be drained
+    /// with [`read_next`](PipelinedConn::read_next).
+    pub fn flush(&mut self) -> Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self
+            .writer
+            .write_all(&self.out)
+            .and_then(|()| self.writer.flush());
+        self.out.clear();
+        self.unflushed = 0;
+        written.map_err(|err| {
+            self.write_dead = true;
+            NetError::from(err)
+        })
+    }
+
+    /// Reads the response to the oldest unanswered request, first
+    /// flushing the write buffer when the read could block on the peer or
+    /// when that request is itself still buffered. A response carrying
+    /// `Connection: close` marks the connection closing (its own bytes
+    /// are still valid); a read error poisons the connection and leaves
+    /// the unanswered count untouched, so the caller knows exactly which
+    /// requests still need a home.
     pub fn read_next(&mut self, limits: &FrameLimits) -> Result<Response> {
         if self.poisoned {
             return Err(NetError::Protocol(
@@ -169,6 +200,13 @@ impl PipelinedConn {
                 "connection announced close; pipelined request will not be answered".into(),
             ));
         }
+        if self.unflushed == self.pending.len()
+            || (self.unflushed > 0 && !self.reader.has_buffered_input())
+        {
+            // A failed flush is like a failed write: the read below still
+            // drains whatever the peer answered before the connection broke.
+            let _ = self.flush();
+        }
         match self.reader.read_response(limits, front == Method::Head) {
             Ok(response) => {
                 self.pending.pop_front();
@@ -184,15 +222,15 @@ impl PipelinedConn {
         }
     }
 
-    /// Tears the connection back into its reader/writer parts (for
-    /// returning an idle, still-open connection to a pool). Callers
-    /// should only pool a connection that [`is_open`] with zero
+    /// Tears the connection back into its reader, writer and write
+    /// buffer (for returning an idle, still-open connection to a pool).
+    /// Callers should only pool a connection that [`is_open`] with zero
     /// [`unanswered`] requests.
     ///
     /// [`is_open`]: PipelinedConn::is_open
     /// [`unanswered`]: PipelinedConn::unanswered
-    pub fn into_parts(self) -> (MessageReader<TcpStream>, TcpStream) {
-        (self.reader, self.writer)
+    pub fn into_parts(self) -> (MessageReader<R>, W, Vec<u8>) {
+        (self.reader, self.writer, self.out)
     }
 }
 
@@ -200,7 +238,7 @@ impl PipelinedConn {
 mod tests {
     use super::*;
     use crate::framing::write_response;
-    use crate::message::StatusCode;
+    use crate::message::{Request, StatusCode};
     use crate::server::{Handler, Server, ServerConfig};
     use std::io::{Read, Write};
     use std::net::TcpListener;
@@ -217,7 +255,7 @@ mod tests {
             .set_read_timeout(Some(std::time::Duration::from_secs(5)))
             .unwrap();
         let writer = stream.try_clone().unwrap();
-        PipelinedConn::from_parts(MessageReader::new(stream), writer, depth)
+        PipelinedConn::from_parts(MessageReader::new(stream), writer, Vec::new(), depth)
     }
 
     #[test]
@@ -228,7 +266,11 @@ mod tests {
             conn.submit(&Request::get(format!("/p{i}")), "h").unwrap();
         }
         assert_eq!(conn.unanswered(), 4);
-        assert!(!conn.can_submit(Method::Get), "depth bound enforced");
+        assert_eq!(
+            conn.refusal(Method::Get),
+            Some(SubmitRefusal::Full),
+            "depth bound enforced"
+        );
         for i in 0..4 {
             let resp = conn.read_next(&FrameLimits::default()).unwrap();
             assert_eq!(resp.body_text().unwrap(), format!("echo /p{i}"));
@@ -353,5 +395,119 @@ mod tests {
             assert!(resp.body.is_empty());
         }
         server.shutdown();
+    }
+
+    /// A write half that records every write call it receives, or fails
+    /// each one with `BrokenPipe`.
+    #[derive(Clone, Default)]
+    struct Writes {
+        log: Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
+        broken: bool,
+    }
+
+    impl Writes {
+        fn count(&self) -> usize {
+            self.log.lock().unwrap().len()
+        }
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.broken {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.log.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `n` canned keep-alive answers, back to back.
+    fn answers(n: usize) -> std::io::Cursor<Vec<u8>> {
+        let mut wire = Vec::new();
+        for i in 0..n {
+            let resp = Response::text(StatusCode::OK, format!("r{i}"));
+            write_response(&mut wire, &resp, true).unwrap();
+        }
+        std::io::Cursor::new(wire)
+    }
+
+    fn canned(
+        n: usize,
+        writes: &Writes,
+        depth: usize,
+    ) -> PipelinedConn<std::io::Cursor<Vec<u8>>, Writes> {
+        PipelinedConn::from_parts(
+            MessageReader::new(answers(n)),
+            writes.clone(),
+            Vec::new(),
+            depth,
+        )
+    }
+
+    #[test]
+    fn a_depth_four_batch_goes_out_in_one_write() {
+        let writes = Writes::default();
+        let mut conn = canned(4, &writes, 4);
+        for i in 0..4 {
+            conn.submit(&Request::get(format!("/b{i}")), "h").unwrap();
+        }
+        assert_eq!(writes.count(), 0, "submit only encodes");
+        for i in 0..4 {
+            let resp = conn.read_next(&FrameLimits::default()).unwrap();
+            assert_eq!(resp.body_text().unwrap(), format!("r{i}"));
+        }
+        assert_eq!(writes.count(), 1);
+        let wire = writes.log.lock().unwrap()[0].clone();
+        let mut expected = Vec::new();
+        for i in 0..4 {
+            crate::framing::write_request(&mut expected, &Request::get(format!("/b{i}")), "h")
+                .unwrap();
+        }
+        assert_eq!(wire, expected);
+    }
+
+    #[test]
+    fn a_refill_waits_while_answers_are_buffered() {
+        let writes = Writes::default();
+        let mut conn = canned(3, &writes, 2);
+        conn.submit(&Request::get("/a"), "h").unwrap();
+        conn.submit(&Request::get("/b"), "h").unwrap();
+        conn.read_next(&FrameLimits::default()).unwrap();
+        assert_eq!(writes.count(), 1);
+        // The refill stays buffered: the answer to /b is already in the
+        // reader, so reading it cannot block on the peer.
+        conn.submit(&Request::get("/c"), "h").unwrap();
+        conn.read_next(&FrameLimits::default()).unwrap();
+        assert_eq!(writes.count(), 1);
+        // /c's own answer needs /c on the wire.
+        conn.read_next(&FrameLimits::default()).unwrap();
+        assert_eq!(writes.count(), 2);
+        assert!(conn.is_open());
+    }
+
+    #[test]
+    fn a_failed_flush_kills_the_write_side_but_drains_answers() {
+        let writes = Writes {
+            broken: true,
+            ..Writes::default()
+        };
+        // The peer answered one request before the connection broke.
+        let mut conn = canned(1, &writes, 4);
+        for i in 0..3 {
+            conn.submit(&Request::get(format!("/f{i}")), "h").unwrap();
+        }
+        let first = conn.read_next(&FrameLimits::default()).unwrap();
+        assert_eq!(first.body_text().unwrap(), "r0");
+        assert!(!conn.is_open());
+        assert_eq!(conn.refusal(Method::Get), Some(SubmitRefusal::Closed));
+        let err = conn.read_next(&FrameLimits::default()).unwrap_err();
+        assert!(matches!(err, NetError::UnexpectedEof(_)), "{err:?}");
+        // Both requests of the failed write still need a home.
+        assert_eq!(conn.unanswered(), 2);
+        assert!(conn.flush().is_ok(), "nothing left to write");
     }
 }

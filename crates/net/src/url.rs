@@ -20,20 +20,32 @@ fn is_unreserved(b: u8) -> bool {
 /// examples); every other non-unreserved byte becomes `%XX`.
 pub fn encode_component(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
+    encode_bytes(raw, |b| out.push(char::from(b)));
+    out
+}
+
+/// Appends the [`encode_component`] text of `raw` to `out` in place:
+/// how a request-target is written straight into a connection's buffer.
+pub fn encode_component_into(out: &mut Vec<u8>, raw: &str) {
+    out.reserve(raw.len());
+    encode_bytes(raw, |b| out.push(b));
+}
+
+/// Feeds the encoded bytes of `raw`, all ASCII, to `push`.
+fn encode_bytes(raw: &str, mut push: impl FnMut(u8)) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
     for &b in raw.as_bytes() {
         if is_unreserved(b) {
-            out.push(b as char);
+            push(b);
         } else if b == b' ' {
-            out.push('+');
+            push(b'+');
         } else {
-            const HEX: &[u8; 16] = b"0123456789ABCDEF";
-            out.push('%');
+            push(b'%');
             // Nibbles are 0–15, so the masked lookups cannot miss.
-            out.push(char::from(HEX[usize::from(b >> 4) & 0xF]));
-            out.push(char::from(HEX[usize::from(b & 0xF)]));
+            push(HEX[usize::from(b >> 4) & 0xF]);
+            push(HEX[usize::from(b & 0xF)]);
         }
     }
-    out
 }
 
 /// Decodes a percent-encoded query component. `+` decodes to space.
@@ -158,6 +170,18 @@ impl QueryString {
     /// Whether there are no pairs.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
+    }
+
+    /// Appends the [`encode`](Self::encode) text to `out` in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for (idx, (k, v)) in self.pairs.iter().enumerate() {
+            if idx > 0 {
+                out.push(b'&');
+            }
+            encode_component_into(out, k);
+            out.push(b'=');
+            encode_component_into(out, v);
+        }
     }
 
     /// Encodes back to `k=v&k2=v2` form in insertion order.

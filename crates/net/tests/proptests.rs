@@ -257,6 +257,398 @@ fn truncated_responses_fail_safely() {
     });
 }
 
+/// Seeded mutational fuzzing of the message readers,
+/// `MessageReader::read_request` and `read_response`. Valid corpora
+/// (pipelined batches of requests or responses, in every framing) are
+/// damaged by bit flips, truncation, inflated `Content-Length` values and
+/// chunk sizes, and splices of two corpora. Every message read from any
+/// input must re-encode to bytes that read back to the same message and
+/// encode to themselves again; every failure must be a typed `NetError`;
+/// and no single allocation may pass the frame limits, which a
+/// thread-local counting allocator checks. Run with `fuzz` as the test
+/// filter; the seed comes from `YTAUDIT_PROP_SEED` like every property
+/// here.
+mod fuzz {
+    use super::{check, Rng, LOWER};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::io::Cursor;
+    use ytaudit_net::framing::{
+        encode_request, encode_response, write_chunked, write_request, write_response, FrameLimits,
+        MessageReader,
+    };
+    use ytaudit_net::url::QueryString;
+    use ytaudit_net::{NetError, Request, Response, StatusCode};
+
+    /// Passes every request to the system allocator, remembering the
+    /// largest one made by the current thread.
+    struct Tracking;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+
+    unsafe impl GlobalAlloc for Tracking {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Tracking = Tracking;
+
+    /// Tight limits, so inflated lengths hit them quickly.
+    const LIMITS: FrameLimits = FrameLimits {
+        max_header_bytes: 2048,
+        max_headers: 24,
+        max_body_bytes: 64 * 1024,
+    };
+
+    /// The largest single allocation a read may make: a body at the limit.
+    /// The reader's 16 KiB buffer, header lines under 2 KiB and error
+    /// messages quoting them all stay below it.
+    const ALLOCATION_CAP: usize = LIMITS.max_body_bytes;
+
+    /// Messages read from one input before giving up on it.
+    const MAX_MESSAGES: usize = 64;
+
+    fn random_request(rng: &mut Rng) -> Request {
+        let path = format!("/{}", rng.word(LOWER, 0, 12));
+        let n = rng.below(0, 5);
+        let query: QueryString = (0..n)
+            .map(|_| (rng.word(LOWER, 1, 6), rng.text(0, 12)))
+            .collect();
+        let mut req = if rng.below(0, 3) == 0 {
+            Request::post(path, rng.bytes(0, 600))
+        } else {
+            Request::get(path)
+        }
+        .with_query(query);
+        for _ in 0..rng.below(0, 4) {
+            req = req.with_header(&rng.word(LOWER, 1, 10), rng.text(0, 20).trim().to_string());
+        }
+        req
+    }
+
+    /// A pipelined batch of 1–4 requests.
+    fn request_corpus(rng: &mut Rng) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for _ in 0..rng.below(1, 5) {
+            write_request(&mut wire, &random_request(rng), "fuzz:1").unwrap();
+        }
+        wire
+    }
+
+    /// One response in any of the framings a reader meets.
+    fn random_response(rng: &mut Rng, wire: &mut Vec<u8>) {
+        let status = [200u16, 204, 304, 404, 429, 500][rng.below(0, 6)];
+        let body = rng.bytes(0, 3_000);
+        match rng.below(0, 4) {
+            // Chunked, in small chunks.
+            0 => {
+                wire.extend_from_slice(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n");
+                for piece in body.chunks(rng.below(1, 700)) {
+                    let mut one = Vec::new();
+                    write_chunked(&mut one, piece).unwrap();
+                    wire.extend_from_slice(&one[..one.len() - 5]); // drop "0\r\n\r\n"
+                }
+                wire.extend_from_slice(b"0\r\nx-trailer: t\r\n\r\n");
+            }
+            // Read to EOF: only valid as the last message.
+            1 => {
+                wire.extend_from_slice(b"HTTP/1.1 200 OK\r\nconnection: close\r\n\r\n");
+                wire.extend_from_slice(&body);
+            }
+            _ => {
+                let resp = Response::json(StatusCode(status), body)
+                    .with_header("retry-after", rng.below(0, 60).to_string());
+                write_response(wire, &resp, rng.below(0, 4) != 0).unwrap();
+            }
+        }
+    }
+
+    /// A pipelined batch of 1–4 responses.
+    fn response_corpus(rng: &mut Rng) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for _ in 0..rng.below(1, 5) {
+            random_response(rng, &mut wire);
+        }
+        wire
+    }
+
+    /// Replaces the digits after the first `content-length:` with a
+    /// larger (often absurd) number, or inserts the field if absent.
+    fn inflate_content_length(rng: &mut Rng, wire: &mut Vec<u8>) {
+        let bigger = [
+            "65537",
+            "99999999",
+            "4294967296",
+            "18446744073709551615",
+            "99999999999999999999999",
+        ][rng.below(0, 5)];
+        let needle = b"content-length: ";
+        match wire.windows(needle.len()).position(|w| w == needle) {
+            Some(at) => {
+                let start = at + needle.len();
+                let end = start
+                    + wire[start..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_digit())
+                        .count();
+                wire.splice(start..end, bigger.bytes());
+            }
+            None => {
+                let line_end = wire
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(wire.len(), |p| p + 1);
+                let field = format!("content-length: {bigger}\r\n");
+                wire.splice(line_end..line_end, field.bytes());
+            }
+        }
+    }
+
+    /// Replaces a random chunk-size line (a run of hex digits closing a
+    /// line that opens right after a CRLF) with a larger hex size.
+    fn inflate_chunk_size(rng: &mut Rng, wire: &mut Vec<u8>) {
+        let bigger = [
+            "1000",
+            "10001",
+            "7fffffff",
+            "ffffffffffffffff",
+            "10000000000000000",
+        ][rng.below(0, 5)];
+        let hex_run = |at: usize| {
+            wire[at..]
+                .iter()
+                .take_while(|b| b.is_ascii_hexdigit())
+                .count()
+        };
+        let sizes: Vec<(usize, usize)> = (2..wire.len())
+            .filter(|&at| wire[at - 2..at] == *b"\r\n")
+            .map(|at| (at, at + hex_run(at)))
+            .filter(|&(start, end)| end > start && wire[end..].starts_with(b"\r\n"))
+            .collect();
+        if sizes.is_empty() {
+            return;
+        }
+        let (start, end) = sizes[rng.below(0, sizes.len())];
+        wire.splice(start..end, bigger.bytes());
+    }
+
+    /// Damages `wire` with one to three random mutations; `other` is a
+    /// second valid corpus for splicing.
+    fn mutate(rng: &mut Rng, wire: &mut Vec<u8>, other: &[u8]) {
+        for _ in 0..rng.below(1, 4) {
+            match rng.below(0, 5) {
+                0 => {
+                    for _ in 0..rng.below(1, 9) {
+                        if !wire.is_empty() {
+                            let at = rng.below(0, wire.len());
+                            wire[at] ^= 1 << rng.below(0, 8);
+                        }
+                    }
+                }
+                1 => {
+                    let cut = rng.below(0, wire.len() + 1);
+                    wire.truncate(cut);
+                }
+                2 => inflate_content_length(rng, wire),
+                3 => inflate_chunk_size(rng, wire),
+                _ => {
+                    let cut = rng.below(0, wire.len() + 1);
+                    let from = rng.below(0, other.len() + 1);
+                    wire.truncate(cut);
+                    wire.extend_from_slice(&other[from..]);
+                }
+            }
+        }
+    }
+
+    /// Runs `read` over `input` and returns what it produced plus the
+    /// largest single allocation made while reading.
+    fn measured<T>(
+        input: &[u8],
+        read: impl FnOnce(&mut MessageReader<Cursor<Vec<u8>>>) -> T,
+    ) -> (T, usize) {
+        let mut reader = MessageReader::new(Cursor::new(input.to_vec()));
+        LARGEST.with(|l| l.set(0));
+        let out = read(&mut reader);
+        (out, LARGEST.with(Cell::get))
+    }
+
+    /// Every request in `input`, then how the stream ended.
+    fn read_requests(input: &[u8]) -> (Vec<Request>, Option<NetError>) {
+        let ((requests, end), largest) = measured(input, |reader| {
+            let mut requests = Vec::new();
+            while requests.len() < MAX_MESSAGES {
+                match reader.read_request(&LIMITS) {
+                    Ok(Some(req)) => requests.push(req),
+                    Ok(None) => return (requests, None),
+                    Err(err) => return (requests, Some(err)),
+                }
+            }
+            (requests, None)
+        });
+        assert!(
+            largest <= ALLOCATION_CAP,
+            "a {largest}-byte allocation reading {} bytes of requests",
+            input.len()
+        );
+        (requests, end)
+    }
+
+    /// Every response in `input`, up to the first error.
+    fn read_responses(input: &[u8]) -> (Vec<Response>, NetError) {
+        let ((responses, end), largest) = measured(input, |reader| {
+            let mut responses = Vec::new();
+            loop {
+                match reader.read_response(&LIMITS, false) {
+                    Ok(resp) if responses.len() < MAX_MESSAGES => responses.push(resp),
+                    Ok(_) => return (responses, NetError::Protocol("message cap".into())),
+                    Err(err) => return (responses, err),
+                }
+            }
+        });
+        assert!(
+            largest <= ALLOCATION_CAP,
+            "a {largest}-byte allocation reading {} bytes of responses",
+            input.len()
+        );
+        (responses, end)
+    }
+
+    /// A request read from any input re-encodes to bytes that read back
+    /// to the same request and encode to themselves.
+    fn assert_request_re_encodes(req: &Request) {
+        let mut once = Vec::new();
+        encode_request(&mut once, req, "fuzz:1");
+        let again = MessageReader::new(Cursor::new(once.clone()))
+            .read_request(&FrameLimits::default())
+            .unwrap_or_else(|e| panic!("re-encoded request does not read back: {e}"))
+            .unwrap();
+        assert_eq!(
+            (again.method, &again.path, again.query.pairs(), &again.body),
+            (req.method, &req.path, req.query.pairs(), &req.body)
+        );
+        let mut twice = Vec::new();
+        encode_request(&mut twice, &again, "fuzz:1");
+        assert_eq!(twice, once, "request encoding is not a fixed point");
+    }
+
+    /// Likewise for a response.
+    fn assert_response_re_encodes(resp: &Response) {
+        let keep_alive = !resp.headers.wants_close();
+        let mut once = Vec::new();
+        encode_response(&mut once, resp, keep_alive);
+        let again = MessageReader::new(Cursor::new(once.clone()))
+            .read_response(&FrameLimits::default(), false)
+            .unwrap_or_else(|e| panic!("re-encoded response does not read back: {e}"));
+        let bodiless = matches!(resp.status.0, 100..=199 | 204 | 304);
+        assert_eq!(again.status, resp.status);
+        if !bodiless {
+            assert_eq!(again.body, resp.body);
+        }
+        let mut twice = Vec::new();
+        encode_response(&mut twice, &again, !again.headers.wants_close());
+        assert_eq!(twice, once, "response encoding is not a fixed point");
+    }
+
+    #[test]
+    fn fuzz_mutated_requests_read_typed_and_re_encode() {
+        check(101, |rng| {
+            let mut wire = request_corpus(rng);
+            let other = request_corpus(rng);
+            mutate(rng, &mut wire, &other);
+            let (requests, _) = read_requests(&wire);
+            requests.iter().for_each(assert_request_re_encodes);
+        });
+    }
+
+    #[test]
+    fn fuzz_mutated_responses_read_typed_and_re_encode() {
+        check(102, |rng| {
+            let mut wire = response_corpus(rng);
+            let other = response_corpus(rng);
+            mutate(rng, &mut wire, &other);
+            let (responses, _) = read_responses(&wire);
+            responses.iter().for_each(assert_response_re_encodes);
+        });
+    }
+
+    /// A pipelined batch cut at every byte yields exactly the messages
+    /// wholly before the cut, then a typed error (or, for requests, a
+    /// clean end at a message boundary).
+    #[test]
+    fn fuzz_pipelined_batches_truncated_at_every_byte() {
+        let mut cases = 0;
+        check(103, |rng| {
+            // A few batches are plenty: each is cut at every byte.
+            cases += 1;
+            if cases > 4 {
+                return;
+            }
+            let requests: Vec<Request> = (0..3).map(|_| random_request(rng)).collect();
+            let mut wire = Vec::new();
+            let mut ends = Vec::new();
+            for req in &requests {
+                write_request(&mut wire, req, "fuzz:1").unwrap();
+                ends.push(wire.len());
+            }
+            for cut in 0..=wire.len() {
+                let (got, end) = read_requests(&wire[..cut]);
+                let whole = ends.iter().filter(|&&e| e <= cut).count();
+                assert_eq!(got.len(), whole, "cut {cut} of {}", wire.len());
+                for (g, r) in got.iter().zip(&requests) {
+                    assert_eq!((g.method, &g.path, &g.body), (r.method, &r.path, &r.body));
+                    assert_eq!(g.query.pairs(), r.query.pairs());
+                }
+                let at_boundary = cut == 0 || ends.contains(&cut);
+                assert_eq!(end.is_none(), at_boundary, "cut {cut}: {end:?}");
+            }
+
+            let mut wire = Vec::new();
+            let mut ends = Vec::new();
+            for _ in 0..3 {
+                // Framed by length or chunks, never by EOF.
+                let resp = Response::json(StatusCode::OK, rng.bytes(0, 400));
+                write_response(&mut wire, &resp, true).unwrap();
+                wire.extend_from_slice(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n");
+                write_chunked(&mut wire, &rng.bytes(1, 300)).unwrap();
+                ends.push(wire.len());
+            }
+            for cut in 0..=wire.len() {
+                let (got, end) = read_responses(&wire[..cut]);
+                let whole = 2 * ends.iter().filter(|&&e| e <= cut).count();
+                assert!(got.len() >= whole && got.len() <= whole + 1, "cut {cut}");
+                assert!(
+                    matches!(end, NetError::UnexpectedEof(_)),
+                    "cut {cut}: {end:?}"
+                );
+            }
+        });
+    }
+}
+
 /// Seeded sequence test for the pipelined client: random request
 /// sequences with `Connection: close` and stall points sprinkled in,
 /// driven at every depth 1..=8, must yield byte-for-byte the responses

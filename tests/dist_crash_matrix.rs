@@ -21,19 +21,19 @@ mod store_harness;
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use store_harness as h;
 use ytaudit::core::testutil::test_client;
 use ytaudit::core::{Collector, CollectorConfig};
 use ytaudit::dist::protocol::{
-    LeaseRequest, ShipBegin, ShipChunk, ShipCommit, ERROR_HEADER, LEASE_PATH, SHIP_BEGIN_PATH,
-    SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
+    LeaseRequest, ShipBegin, ShipChunk, ShipCommit, ERROR_HEADER, LEASE_PATH, RELEASE_PATH,
+    SHIP_BEGIN_PATH, SHIP_CHUNK_PATH, SHIP_COMMIT_PATH,
 };
 use ytaudit::dist::{
     run_worker, Coordinator, CoordinatorChannel, DistError, DistErrorKind, HttpChannel, LeaseGrant,
     LeaseReply, LocalChannel, ShipReply, WorkerConfig, WorkerReport,
 };
-use ytaudit::net::{Request, Server, ServerConfig};
+use ytaudit::net::{NetError, Request, Response, Server, ServerConfig};
 use ytaudit::platform::clock::RealClock;
 use ytaudit::platform::faultpoint;
 use ytaudit::sched::{InProcessFactory, SchedulerConfig};
@@ -84,6 +84,20 @@ fn reference(dir: &TempDir, config: &CollectorConfig) -> Vec<u8> {
 
 fn coordinator(config: &CollectorConfig, dest: &Path, ttl: Duration) -> Arc<Coordinator> {
     Arc::new(Coordinator::new(config, 2, dest, ttl, Arc::new(RealClock::default())).unwrap())
+}
+
+/// The channel of a worker process that dies at its fault: the release a
+/// failing but live worker sends never arrives, so its lease has to run
+/// out.
+struct Killed(LocalChannel);
+
+impl CoordinatorChannel for Killed {
+    fn call(&self, req: Request) -> ytaudit::net::Result<Response> {
+        if req.path == RELEASE_PATH {
+            return Err(NetError::Io("the worker process is gone".into()));
+        }
+        self.0.call(req)
+    }
 }
 
 fn worker_cfg(name: &str, workdir: PathBuf) -> WorkerConfig {
@@ -180,7 +194,7 @@ fn worker_killed_pre_ship_is_replaced_and_the_range_resumed() {
     let workdir = dir.file("work");
 
     faultpoint::arm("dist.pre-ship", 1);
-    let chan = LocalChannel::new(Arc::clone(&coord));
+    let chan = Killed(LocalChannel::new(Arc::clone(&coord)));
     let err = run_worker(&chan, &factory, &worker_cfg("victim", workdir.clone())).unwrap_err();
     faultpoint::reset();
     assert_eq!(err.kind, DistErrorKind::Internal);
@@ -194,6 +208,8 @@ fn worker_killed_pre_ship_is_replaced_and_the_range_resumed() {
     assert_eq!(report.committed, coord.plan().total_ranges());
     assert_eq!(report.duplicates, 0);
     assert!(coord.counters().leases_reissued >= 1);
+    assert!(coord.counters().leases_expired >= 1);
+    assert_eq!(coord.counters().leases_released, 0);
 
     coord.merge().unwrap();
     assert_converged(
@@ -299,7 +315,8 @@ fn transient_pre_accept_fault_is_absorbed_by_commit_retry() {
 /// successor on the same workdir, once the lease expires, is charged
 /// exactly the un-banked remainder, however much abandoned in-flight
 /// work the drained run paid for, and the merge still reproduces the
-/// single-sink bytes.
+/// single-sink bytes. The drained worker hands its lease back, so the
+/// successor is granted the range at once, not after the ttl.
 #[test]
 fn drained_range_is_never_over_charged_and_its_successor_pays_the_difference() {
     let _guard = exclusive();
@@ -309,8 +326,9 @@ fn drained_range_is_never_over_charged_and_its_successor_pays_the_difference() {
     let total = h::single_scheduler_charge(SCALE, KEY, &config);
 
     let dest = dir.file("merged.yts");
-    // A short ttl so the drained worker's lease is forfeited quickly.
-    let coord = coordinator(&config, &dest, Duration::from_secs(1));
+    // The CLI's default ttl: only the release lets the successor in early.
+    let ttl = Duration::from_secs(30);
+    let coord = coordinator(&config, &dest, ttl);
     let workdir = dir.file("work");
 
     let charged_crash = {
@@ -323,6 +341,13 @@ fn drained_range_is_never_over_charged_and_its_successor_pays_the_difference() {
         assert!(err.detail.contains("drained"), "{err}");
         service.quota().lifetime_used(KEY)
     };
+    let drained_at = Instant::now();
+    assert_eq!(coord.counters().leases_released, 1);
+    assert!(
+        coord.status_page().contains("range 0 [topic]: open"),
+        "{}",
+        coord.status_page()
+    );
     let banked = Store::open(&workdir.join("range-0.yts"))
         .unwrap()
         .stats()
@@ -339,8 +364,15 @@ fn drained_range_is_never_over_charged_and_its_successor_pays_the_difference() {
         let factory = InProcessFactory::new(Arc::clone(&service));
         let report = run_one(&coord, &factory, &worker_cfg("successor", workdir));
         assert_eq!(report.committed, coord.plan().total_ranges());
+        assert_eq!(report.waits, 0, "the successor waited for a lease");
         service.quota().lifetime_used(KEY)
     };
+    assert!(
+        drained_at.elapsed() < ttl / 3,
+        "the successor finished {:?} after the drain, against a {ttl:?} ttl",
+        drained_at.elapsed()
+    );
+    assert_eq!(coord.counters().leases_expired, 0);
     assert_eq!(
         charged_resume,
         total - banked,
