@@ -403,6 +403,40 @@ mod tests {
     }
 
     #[test]
+    fn base_urls_parse_once_into_an_address_and_a_path_prefix() {
+        for (text, prefix) in [
+            ("http://127.0.0.1:4321", ""),
+            ("http://127.0.0.1:4321/", "/"),
+            ("http://localhost/api/v1", "/api/v1"),
+        ] {
+            let base = Base::parse(text).unwrap();
+            assert_eq!(base.prefix, prefix, "{text}");
+            assert_eq!(
+                base.url.path.trim_end_matches('/'),
+                prefix.trim_end_matches('/')
+            );
+        }
+        for bad in [
+            "127.0.0.1:4321",
+            "ftp://h/",
+            "http://h/?key=x",
+            "http://h/#top",
+        ] {
+            assert!(matches!(Base::parse(bad), Err(Error::Protocol(_))), "{bad}");
+        }
+        // Every call reports a bad base URL; none panics or dials.
+        let http = HttpTransport::new("not a url");
+        let p = params(&[("part", "id")]);
+        assert!(matches!(
+            http.execute(Endpoint::Videos, &p, "k", None),
+            Err(Error::Protocol(_))
+        ));
+        let batch = http.execute_many(Endpoint::Videos, &[p.clone(), p], "k", None);
+        assert_eq!(batch.len(), 2);
+        assert!(batch.iter().all(|r| matches!(r, Err(Error::Protocol(_)))));
+    }
+
+    #[test]
     fn http_transport_reports_connection_failures() {
         let http = HttpTransport::new("http://127.0.0.1:1");
         let err = http
