@@ -106,10 +106,11 @@ impl<R: Read> MessageReader<R> {
                 return false;
             }
             if body.is_none() && name.eq_ignore_ascii_case(b"content-length") {
-                match parse_decimal(value.get(1..).unwrap_or_default().trim_ascii()) {
-                    Some(len) => body = Some(len),
-                    None => return true, // malformed: the read fails without blocking
-                }
+                // A malformed length fails the read once the whole head
+                // is in, with no body to wait for.
+                body = Some(
+                    parse_decimal(value.get(1..).unwrap_or_default().trim_ascii()).unwrap_or(0),
+                );
             }
         }
         false
@@ -961,8 +962,13 @@ mod tests {
         assert!(!complete(
             b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n"
         ));
-        // A head the read rejects outright cannot block it either.
+        // A head the read rejects outright cannot block it either, but
+        // a bad length is only rejected once the whole head is in.
         assert!(complete(b"POST / HTTP/1.1\r\ncontent-length: x\r\n\r\n"));
+        assert!(!complete(
+            b"POST / HTTP/1.1\r\ncontent-length: x\r\nhost: h"
+        ));
+        assert!(complete(b"GET / HTTP/1.1\r\nno colon\r\nhost: h"));
         // Only the first request counts; after it is read, the next.
         let mut two = Vec::new();
         write_request(&mut two, &Request::get("/a"), "h").unwrap();
