@@ -67,9 +67,9 @@ pub(crate) fn sorted_jaccard(a: &[&VideoId], b: &[&VideoId]) -> f64 {
 /// ID sets that include empty, disjoint and duplicate-laden ones. Results
 /// must agree bit for bit, and so must the checkpoint bytes.
 ///
-/// The seed comes from `YTAUDIT_PROP_SEED` (a number, or any string such
-/// as a commit SHA, hashed), so CI can rotate it per commit; a failure
-/// names the seed to reproduce with.
+/// The cases come from `ytaudit_types::kit`, so `YTAUDIT_PROP_SEED`
+/// rotates them per commit; a failure names the seed and case, and the
+/// test's stderr the value to reproduce with.
 #[cfg(test)]
 mod tests {
     use super::encode_id_set;
@@ -82,76 +82,53 @@ mod tests {
     use std::sync::Arc;
     use ytaudit_stats::rank::spearman;
     use ytaudit_stats::sets::jaccard;
+    use ytaudit_types::kit::{prop_seed, Rng};
     use ytaudit_types::wire::{self, Writer};
     use ytaudit_types::{Timestamp, Topic, VideoId};
 
     /// Random cases per property.
     const CASES: usize = 300;
 
-    fn prop_seed() -> u64 {
-        match std::env::var("YTAUDIT_PROP_SEED") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            }),
-            Err(_) => 0x5E7_4E2E,
+    /// The suite's fixed seed; `YTAUDIT_PROP_SEED` rotates it.
+    const SEED: u64 = 0x5E7_4E2E;
+
+    /// A random ID set over a universe of up to `max_universe` IDs
+    /// starting at `offset`: empty one time in six, otherwise of random
+    /// density. Disjoint offsets give disjoint sets.
+    fn ids(rng: &mut Rng, offset: u64, max_universe: u64) -> Vec<VideoId> {
+        if rng.below(6) == 0 {
+            return Vec::new();
         }
+        let universe = 1 + rng.below(max_universe);
+        let density = 1 + rng.below(4);
+        (offset..offset + universe)
+            .filter(|_| rng.below(4) < density)
+            .map(|n| VideoId::new(format!("v{n:03}")))
+            .collect()
     }
 
-    /// xorshift64* — deterministic, dependency-free.
-    struct Rng(u64);
-
-    impl Rng {
-        fn new(seed: u64) -> Rng {
-            Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n.max(1)
-        }
-
-        /// A random ID set over a universe of up to `max_universe` IDs
-        /// starting at `offset`: empty one time in six, otherwise of random
-        /// density. Disjoint offsets give disjoint sets.
-        fn ids(&mut self, offset: u64, max_universe: u64) -> Vec<VideoId> {
-            if self.below(6) == 0 {
-                return Vec::new();
-            }
-            let universe = 1 + self.below(max_universe);
-            let density = 1 + self.below(4);
-            (offset..offset + universe)
-                .filter(|_| self.below(4) < density)
-                .map(|n| VideoId::new(format!("v{n:03}")))
-                .collect()
-        }
-
-        /// A random snapshot: hours drawn from a small range, so hours repeat
-        /// and the same ID lands in several hours or twice in one.
-        fn snapshot(&mut self) -> TopicSnapshot {
-            let offset = if self.below(5) == 0 { 500 } else { 0 };
-            let hours = (0..self.below(8))
-                .map(|_| {
-                    let mut video_ids = self.ids(offset, 12);
-                    if let Some(dup) = video_ids.first().cloned() {
-                        if self.below(3) == 0 {
-                            video_ids.push(dup);
-                        }
+    /// A random snapshot: hours drawn from a small range, so hours repeat
+    /// and the same ID lands in several hours or twice in one.
+    fn snapshot(rng: &mut Rng) -> TopicSnapshot {
+        let offset = if rng.below(5) == 0 { 500 } else { 0 };
+        let hours = (0..rng.below(8))
+            .map(|_| {
+                let mut video_ids = ids(rng, offset, 12);
+                if let Some(dup) = video_ids.first().cloned() {
+                    if rng.below(3) == 0 {
+                        video_ids.push(dup);
                     }
-                    HourlyResult {
-                        hour: self.below(60) as u32,
-                        video_ids,
-                        total_results: 0,
-                    }
-                })
-                .collect();
-            TopicSnapshot {
-                hours,
-                meta_returned: Vec::new(),
-            }
+                }
+                HourlyResult {
+                    hour: rng.below(60) as u32,
+                    video_ids,
+                    total_results: 0,
+                }
+            })
+            .collect();
+        TopicSnapshot {
+            hours,
+            meta_returned: Vec::new(),
         }
     }
 
@@ -181,7 +158,7 @@ mod tests {
 
     #[test]
     fn set_kernels_figure4_matches_the_hashset_reference() {
-        let seed = prop_seed();
+        let seed = prop_seed(SEED);
         let mut rng = Rng::new(seed);
         for case in 0..CASES {
             let mut acc = Figure4Accumulator::new(Topic::Higgs);
@@ -189,8 +166,8 @@ mod tests {
             let (mut vs_previous, mut vs_first) = (Vec::new(), Vec::new());
             for t in 0..1 + rng.below(6) as usize {
                 let offset = if rng.below(4) == 0 { 100 * t as u64 } else { 0 };
-                let search = set(&rng.ids(offset, 30));
-                let meta = set(&rng.ids(offset, 30));
+                let search = set(&ids(&mut rng, offset, 30));
+                let meta = set(&ids(&mut rng, offset, 30));
                 if let (Some(first), Some(prev)) = (snapshots.first(), snapshots.last()) {
                     vs_previous.push(reference_point(&search, &meta, &prev.0, &prev.1, t));
                     vs_first.push(reference_point(&search, &meta, &first.0, &first.1, t));
@@ -213,14 +190,14 @@ mod tests {
 
     #[test]
     fn set_kernels_regression_frequencies_match_the_hashset_reference() {
-        let seed = prop_seed();
+        let seed = prop_seed(SEED);
         let mut rng = Rng::new(seed ^ 1);
         for case in 0..CASES {
             let mut acc = RegressionAccumulator::new();
             let mut reference: BTreeMap<Topic, BTreeMap<VideoId, u32>> = BTreeMap::new();
             for _ in 0..1 + rng.below(6) {
                 for topic in [Topic::Higgs, Topic::Blm] {
-                    let ts = rng.snapshot();
+                    let ts = snapshot(&mut rng);
                     let distinct: HashSet<VideoId> = ts
                         .hours
                         .iter()
@@ -265,12 +242,12 @@ mod tests {
 
     #[test]
     fn set_kernels_table2_and_figure2_sets_match_the_hashset_reference() {
-        let seed = prop_seed();
+        let seed = prop_seed(SEED);
         let mut rng = Rng::new(seed ^ 2);
         let empty = HashSet::new();
         for case in 0..CASES {
             let snapshots: Vec<Arc<TopicSnapshot>> = (0..1 + rng.below(5))
-                .map(|_| Arc::new(rng.snapshot()))
+                .map(|_| Arc::new(snapshot(&mut rng)))
                 .collect();
             let (mut table2, mut figure2) = (
                 Table2Accumulator::new(Topic::Blm),
@@ -409,7 +386,7 @@ mod tests {
 
     #[test]
     fn set_kernels_table5_matches_the_hashset_reference() {
-        let seed = prop_seed();
+        let seed = prop_seed(SEED);
         let mut rng = Rng::new(seed ^ 3);
         let topic = Topic::Grammys;
         let cutoff = topic.spec().focal_date.add_days(21);
@@ -435,7 +412,7 @@ mod tests {
                 }
             };
             let (first, last) = (crawl(), crawl());
-            let (first_ids, last_ids) = (set(&rng.ids(0, 6)), set(&rng.ids(0, 6)));
+            let (first_ids, last_ids) = (set(&ids(&mut rng, 0, 6)), set(&ids(&mut rng, 0, 6)));
             let mut acc = Table5Accumulator::new(topic);
             acc.fold(Some(first.clone()), first_ids.clone());
             acc.fold(Some(last.clone()), last_ids.clone());

@@ -1,8 +1,7 @@
 //! Property tests for the HTTP codec layers, plus a seeded sequence
 //! test for the pipelined client. All are plain `#[test]`s over random
-//! cases from a generator seeded via `YTAUDIT_PROP_SEED` (a number, or
-//! any string such as a commit SHA, hashed), like the workspace's
-//! shard-equivalence suite; a failure names the seed and case.
+//! cases from `ytaudit_types::kit`, so `YTAUDIT_PROP_SEED` rotates them;
+//! a failure names the value and case to reproduce with.
 
 use std::io::Cursor;
 use ytaudit_net::framing::{
@@ -10,109 +9,54 @@ use ytaudit_net::framing::{
 };
 use ytaudit_net::url::{decode_component, encode_component, QueryString};
 use ytaudit_net::{Request, Response, StatusCode};
+use ytaudit_types::kit::{check, Rng};
 
 /// Random cases per codec property.
 const CASES: usize = 256;
 
-fn prop_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0x5EED_CAFE,
-    }
+fn bytes(rng: &mut Rng, lo: usize, hi: usize) -> Vec<u8> {
+    let len = rng.range(lo as i64, hi as i64);
+    (0..len).map(|_| rng.next() as u8).collect()
 }
 
-/// splitmix64 — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn below(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo) as u64) as usize
-    }
-
-    fn bytes(&mut self, lo: usize, hi: usize) -> Vec<u8> {
-        let len = self.below(lo, hi);
-        (0..len).map(|_| self.next() as u8).collect()
-    }
-
-    /// Any text without a newline (the regex `.`), of length `lo..hi`:
-    /// ASCII (controls and separators included), two- and three-byte
-    /// characters and astral ones.
-    fn text(&mut self, lo: usize, hi: usize) -> String {
-        let len = self.below(lo, hi);
-        let mut text = String::new();
-        while text.chars().count() < len {
-            let code = match self.next() % 4 {
-                0 | 1 => self.next() % 0x80,
-                2 => 0x80 + self.next() % 0x780,
-                _ => 0x800 + self.next() % (0x11_0000 - 0x800),
-            };
-            match char::from_u32(code as u32) {
-                Some(c) if c != '\n' => text.push(c),
-                _ => {}
-            }
+/// Any text without a newline (the regex `.`), of length `lo..hi`:
+/// ASCII (controls and separators included), two- and three-byte
+/// characters and astral ones.
+fn text(rng: &mut Rng, lo: usize, hi: usize) -> String {
+    let len = rng.range(lo as i64, hi as i64) as usize;
+    let mut text = String::new();
+    while text.chars().count() < len {
+        let code = match rng.below(4) {
+            0 | 1 => rng.below(0x80),
+            2 => 0x80 + rng.below(0x780),
+            _ => 0x800 + rng.below(0x11_0000 - 0x800),
+        };
+        match char::from_u32(code as u32) {
+            Some(c) if c != '\n' => text.push(c),
+            _ => {}
         }
-        text
     }
+    text
+}
 
-    /// `lo..=hi` characters drawn from `alphabet` (a regex class).
-    fn word(&mut self, alphabet: &str, lo: usize, hi: usize) -> String {
-        let chars: Vec<char> = alphabet.chars().collect();
-        let len = self.below(lo, hi + 1);
-        (0..len)
-            .map(|_| chars[self.below(0, chars.len())])
-            .collect()
-    }
+/// `lo..=hi` characters drawn from `alphabet` (a regex class).
+fn word(rng: &mut Rng, alphabet: &str, lo: usize, hi: usize) -> String {
+    let chars: Vec<char> = alphabet.chars().collect();
+    let len = rng.range(lo as i64, hi as i64 + 1);
+    (0..len)
+        .map(|_| chars[rng.below(chars.len() as u64) as usize])
+        .collect()
 }
 
 const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
 const DIGITS: &str = "0123456789";
 const UPPER: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
 
-/// Names the seed and case of a failing property while a panic unwinds.
-struct Case {
-    seed: u64,
-    case: usize,
-}
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!(
-                "property failed: YTAUDIT_PROP_SEED={} case {}",
-                self.seed, self.case
-            );
-        }
-    }
-}
-
-/// Runs `property` on [`CASES`] random cases; `salt` gives each property
-/// its own stream.
-fn check(salt: u64, mut property: impl FnMut(&mut Rng)) {
-    let seed = prop_seed();
-    let mut rng = Rng(seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-    for case in 0..CASES {
-        let _case = Case { seed, case };
-        property(&mut rng);
-    }
-}
-
 /// Percent-encoding round-trips arbitrary Unicode text.
 #[test]
 fn percent_codec_round_trip() {
-    check(1, |rng| {
-        let raw = rng.text(0, 32);
+    check(CASES, 1, |rng| {
+        let raw = text(rng, 0, 32);
         let encoded = encode_component(&raw);
         assert_eq!(decode_component(&encoded).unwrap(), raw);
     });
@@ -122,8 +66,8 @@ fn percent_codec_round_trip() {
 /// query string.
 #[test]
 fn encoded_component_is_inert() {
-    check(2, |rng| {
-        let encoded = encode_component(&rng.text(0, 32));
+    check(CASES, 2, |rng| {
+        let encoded = encode_component(&text(rng, 0, 32));
         assert!(!encoded.contains('&'));
         assert!(!encoded.contains('='));
         assert!(!encoded.contains('#'));
@@ -135,10 +79,11 @@ fn encoded_component_is_inert() {
 /// Query strings round-trip arbitrary key/value pairs.
 #[test]
 fn query_string_round_trip() {
-    check(3, |rng| {
-        let n = rng.below(0, 8);
-        let pairs: Vec<(String, String)> =
-            (0..n).map(|_| (rng.text(0, 12), rng.text(0, 12))).collect();
+    check(CASES, 3, |rng| {
+        let n = rng.below(8);
+        let pairs: Vec<(String, String)> = (0..n)
+            .map(|_| (text(rng, 0, 12), text(rng, 0, 12)))
+            .collect();
         let qs: QueryString = pairs.iter().cloned().collect();
         let parsed = QueryString::parse(&qs.encode()).unwrap();
         // Keys that encode to the empty string ("" keys with "" values)
@@ -151,10 +96,10 @@ fn query_string_round_trip() {
 #[test]
 fn canonical_is_order_insensitive() {
     let value_chars = format!("{LOWER}{DIGITS}");
-    check(4, |rng| {
-        let n = rng.below(0, 6);
+    check(CASES, 4, |rng| {
+        let n = rng.below(6);
         let pairs: Vec<(String, String)> = (0..n)
-            .map(|_| (rng.word(LOWER, 1, 4), rng.word(&value_chars, 0, 6)))
+            .map(|_| (word(rng, LOWER, 1, 4), word(rng, &value_chars, 0, 6)))
             .collect();
         let qs: QueryString = pairs.iter().cloned().collect();
         let mut reversed = pairs.clone();
@@ -176,8 +121,8 @@ fn canonical_is_order_insensitive() {
 /// content-length/chunked threshold.
 #[test]
 fn response_framing_round_trip() {
-    check(5, |rng| {
-        let body = rng.bytes(0, 200_000);
+    check(CASES, 5, |rng| {
+        let body = bytes(rng, 0, 200_000);
         let keep_alive = rng.next() % 2 == 0;
         let resp = Response::json(StatusCode::OK, body.clone());
         let mut wire = Vec::new();
@@ -195,13 +140,13 @@ fn response_framing_round_trip() {
 fn request_framing_round_trip() {
     let path_chars = format!("{LOWER}{UPPER}{DIGITS}_/-");
     let key_chars = format!("{LOWER}{UPPER}");
-    check(6, |rng| {
-        let path_seg = rng.word(&path_chars, 0, 40);
-        let n = rng.below(0, 6);
+    check(CASES, 6, |rng| {
+        let path_seg = word(rng, &path_chars, 0, 40);
+        let n = rng.below(6);
         let pairs: Vec<(String, String)> = (0..n)
-            .map(|_| (rng.word(&key_chars, 1, 8), rng.text(0, 21)))
+            .map(|_| (word(rng, &key_chars, 1, 8), text(rng, 0, 21)))
             .collect();
-        let body = rng.bytes(0, 4_096);
+        let body = bytes(rng, 0, 4_096);
         let query: QueryString = pairs.iter().cloned().collect();
         let req = Request::post(format!("/{path_seg}"), body.clone()).with_query(query.clone());
         let mut wire = Vec::new();
@@ -220,8 +165,8 @@ fn request_framing_round_trip() {
 /// regardless of body size relative to chunk boundaries.
 #[test]
 fn chunked_codec_round_trip() {
-    check(7, |rng| {
-        let body = rng.bytes(0, 100_000);
+    check(CASES, 7, |rng| {
+        let body = bytes(rng, 0, 100_000);
         let mut wire = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
         write_chunked(&mut wire, &body).unwrap();
         let parsed = MessageReader::new(Cursor::new(wire))
@@ -235,8 +180,8 @@ fn chunked_codec_round_trip() {
 /// and never yields a *successful* full-body parse with missing bytes.
 #[test]
 fn truncated_responses_fail_safely() {
-    check(8, |rng| {
-        let body = rng.bytes(1, 2_000);
+    check(CASES, 8, |rng| {
+        let body = bytes(rng, 1, 2_000);
         let cut_fraction = (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
         let resp = Response::json(StatusCode::OK, body.clone());
         let mut wire = Vec::new();
@@ -266,10 +211,9 @@ fn truncated_responses_fail_safely() {
 /// encode to themselves again; every failure must be a typed `NetError`;
 /// and no single allocation may pass the frame limits, which a
 /// thread-local counting allocator checks. Run with `fuzz` as the test
-/// filter; the seed comes from `YTAUDIT_PROP_SEED` like every property
-/// here.
+/// filter; `YTAUDIT_PROP_SEED` rotates it like every property here.
 mod fuzz {
-    use super::{check, Rng, LOWER};
+    use super::{bytes, text, word, CASES, LOWER};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     use std::io::Cursor;
@@ -279,6 +223,7 @@ mod fuzz {
     };
     use ytaudit_net::url::QueryString;
     use ytaudit_net::{NetError, Request, Response, StatusCode};
+    use ytaudit_types::kit::{check, Rng};
 
     /// Passes every request to the system allocator, remembering the
     /// largest one made by the current thread.
@@ -332,19 +277,22 @@ mod fuzz {
     const MAX_MESSAGES: usize = 64;
 
     fn random_request(rng: &mut Rng) -> Request {
-        let path = format!("/{}", rng.word(LOWER, 0, 12));
-        let n = rng.below(0, 5);
+        let path = format!("/{}", word(rng, LOWER, 0, 12));
+        let n = rng.below(5);
         let query: QueryString = (0..n)
-            .map(|_| (rng.word(LOWER, 1, 6), rng.text(0, 12)))
+            .map(|_| (word(rng, LOWER, 1, 6), text(rng, 0, 12)))
             .collect();
-        let mut req = if rng.below(0, 3) == 0 {
-            Request::post(path, rng.bytes(0, 600))
+        let mut req = if rng.below(3) == 0 {
+            Request::post(path, bytes(rng, 0, 600))
         } else {
             Request::get(path)
         }
         .with_query(query);
-        for _ in 0..rng.below(0, 4) {
-            req = req.with_header(&rng.word(LOWER, 1, 10), rng.text(0, 20).trim().to_string());
+        for _ in 0..rng.below(4) {
+            req = req.with_header(
+                &word(rng, LOWER, 1, 10),
+                text(rng, 0, 20).trim().to_string(),
+            );
         }
         req
     }
@@ -352,7 +300,7 @@ mod fuzz {
     /// A pipelined batch of 1–4 requests.
     fn request_corpus(rng: &mut Rng) -> Vec<u8> {
         let mut wire = Vec::new();
-        for _ in 0..rng.below(1, 5) {
+        for _ in 0..rng.range(1, 5) {
             write_request(&mut wire, &random_request(rng), "fuzz:1").unwrap();
         }
         wire
@@ -360,13 +308,13 @@ mod fuzz {
 
     /// One response in any of the framings a reader meets.
     fn random_response(rng: &mut Rng, wire: &mut Vec<u8>) {
-        let status = [200u16, 204, 304, 404, 429, 500][rng.below(0, 6)];
-        let body = rng.bytes(0, 3_000);
-        match rng.below(0, 4) {
+        let status = [200u16, 204, 304, 404, 429, 500][rng.below(6) as usize];
+        let body = bytes(rng, 0, 3_000);
+        match rng.below(4) {
             // Chunked, in small chunks.
             0 => {
                 wire.extend_from_slice(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n");
-                for piece in body.chunks(rng.below(1, 700)) {
+                for piece in body.chunks(rng.range(1, 700) as usize) {
                     let mut one = Vec::new();
                     write_chunked(&mut one, piece).unwrap();
                     wire.extend_from_slice(&one[..one.len() - 5]); // drop "0\r\n\r\n"
@@ -380,8 +328,8 @@ mod fuzz {
             }
             _ => {
                 let resp = Response::json(StatusCode(status), body)
-                    .with_header("retry-after", rng.below(0, 60).to_string());
-                write_response(wire, &resp, rng.below(0, 4) != 0).unwrap();
+                    .with_header("retry-after", rng.below(60).to_string());
+                write_response(wire, &resp, rng.below(4) != 0).unwrap();
             }
         }
     }
@@ -389,7 +337,7 @@ mod fuzz {
     /// A pipelined batch of 1–4 responses.
     fn response_corpus(rng: &mut Rng) -> Vec<u8> {
         let mut wire = Vec::new();
-        for _ in 0..rng.below(1, 5) {
+        for _ in 0..rng.range(1, 5) {
             random_response(rng, &mut wire);
         }
         wire
@@ -404,7 +352,7 @@ mod fuzz {
             "4294967296",
             "18446744073709551615",
             "99999999999999999999999",
-        ][rng.below(0, 5)];
+        ][rng.below(5) as usize];
         let needle = b"content-length: ";
         match wire.windows(needle.len()).position(|w| w == needle) {
             Some(at) => {
@@ -436,7 +384,7 @@ mod fuzz {
             "7fffffff",
             "ffffffffffffffff",
             "10000000000000000",
-        ][rng.below(0, 5)];
+        ][rng.below(5) as usize];
         let hex_run = |at: usize| {
             wire[at..]
                 .iter()
@@ -451,32 +399,32 @@ mod fuzz {
         if sizes.is_empty() {
             return;
         }
-        let (start, end) = sizes[rng.below(0, sizes.len())];
+        let (start, end) = sizes[rng.below(sizes.len() as u64) as usize];
         wire.splice(start..end, bigger.bytes());
     }
 
     /// Damages `wire` with one to three random mutations; `other` is a
     /// second valid corpus for splicing.
     fn mutate(rng: &mut Rng, wire: &mut Vec<u8>, other: &[u8]) {
-        for _ in 0..rng.below(1, 4) {
-            match rng.below(0, 5) {
+        for _ in 0..rng.range(1, 4) {
+            match rng.below(5) {
                 0 => {
-                    for _ in 0..rng.below(1, 9) {
+                    for _ in 0..rng.range(1, 9) {
                         if !wire.is_empty() {
-                            let at = rng.below(0, wire.len());
-                            wire[at] ^= 1 << rng.below(0, 8);
+                            let at = rng.below(wire.len() as u64) as usize;
+                            wire[at] ^= 1 << rng.below(8);
                         }
                     }
                 }
                 1 => {
-                    let cut = rng.below(0, wire.len() + 1);
+                    let cut = rng.below(wire.len() as u64 + 1) as usize;
                     wire.truncate(cut);
                 }
                 2 => inflate_content_length(rng, wire),
                 3 => inflate_chunk_size(rng, wire),
                 _ => {
-                    let cut = rng.below(0, wire.len() + 1);
-                    let from = rng.below(0, other.len() + 1);
+                    let cut = rng.below(wire.len() as u64 + 1) as usize;
+                    let from = rng.below(other.len() as u64 + 1) as usize;
                     wire.truncate(cut);
                     wire.extend_from_slice(&other[from..]);
                 }
@@ -575,7 +523,7 @@ mod fuzz {
 
     #[test]
     fn fuzz_mutated_requests_read_typed_and_re_encode() {
-        check(101, |rng| {
+        check(CASES, 101, |rng| {
             let mut wire = request_corpus(rng);
             let other = request_corpus(rng);
             mutate(rng, &mut wire, &other);
@@ -586,7 +534,7 @@ mod fuzz {
 
     #[test]
     fn fuzz_mutated_responses_read_typed_and_re_encode() {
-        check(102, |rng| {
+        check(CASES, 102, |rng| {
             let mut wire = response_corpus(rng);
             let other = response_corpus(rng);
             mutate(rng, &mut wire, &other);
@@ -601,7 +549,7 @@ mod fuzz {
     #[test]
     fn fuzz_pipelined_batches_truncated_at_every_byte() {
         let mut cases = 0;
-        check(103, |rng| {
+        check(CASES, 103, |rng| {
             // A few batches are plenty: each is cut at every byte.
             cases += 1;
             if cases > 4 {
@@ -630,10 +578,10 @@ mod fuzz {
             let mut ends = Vec::new();
             for _ in 0..3 {
                 // Framed by length or chunks, never by EOF.
-                let resp = Response::json(StatusCode::OK, rng.bytes(0, 400));
+                let resp = Response::json(StatusCode::OK, bytes(rng, 0, 400));
                 write_response(&mut wire, &resp, true).unwrap();
                 wire.extend_from_slice(b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n");
-                write_chunked(&mut wire, &rng.bytes(1, 300)).unwrap();
+                write_chunked(&mut wire, &bytes(rng, 1, 300)).unwrap();
                 ends.push(wire.len());
             }
             for cut in 0..=wire.len() {
@@ -653,9 +601,8 @@ mod fuzz {
 /// sequences with `Connection: close` and stall points sprinkled in,
 /// driven at every depth 1..=8, must yield byte-for-byte the responses
 /// the scripted handler computes from each request, and the responses a
-/// one-request-at-a-time `send` loop gets. Written as a plain `#[test]` so the
-/// seed rotation matches the workspace's shard-equivalence pattern
-/// (`YTAUDIT_PROP_SEED`, numeric or hashed commit SHA).
+/// one-request-at-a-time `send` loop gets. The seed follows
+/// `ytaudit_types::kit::prop_seed`, so `YTAUDIT_PROP_SEED` rotates it.
 mod pipelining {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -663,30 +610,10 @@ mod pipelining {
     use ytaudit_net::{
         HttpClient, Request, Response, Server, ServerConfig, ServerHandle, StatusCode, Url,
     };
+    use ytaudit_types::kit::{prop_seed, Rng};
 
     /// The fixed property-test seed; CI rotates it via `YTAUDIT_PROP_SEED`.
     const DEFAULT_PROP_SEED: u64 = 0x5EED_CAFE_D15C_0DE5;
-
-    /// A splitmix64 step — the test's only entropy source, fully
-    /// determined by the seed.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn prop_seed() -> u64 {
-        match std::env::var("YTAUDIT_PROP_SEED") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            }),
-            Err(_) => DEFAULT_PROP_SEED,
-        }
-    }
 
     /// The scripted server's response body: a pure function of the
     /// request, so it doubles as a client-independent oracle.
@@ -727,10 +654,9 @@ mod pipelining {
     /// One random request: mostly pipelinable GETs across plain, close,
     /// and stall paths, with an occasional POST (which the client must
     /// route around the pipeline, never through it).
-    fn random_request(state: &mut u64, i: usize) -> Request {
-        let x = next(state);
-        let flavor = x % 10;
-        let token = next(state) % 1_000_000;
+    fn random_request(rng: &mut Rng, i: usize) -> Request {
+        let flavor = rng.below(10);
+        let token = rng.below(1_000_000);
         if flavor == 9 {
             return Request::post(format!("/echo/{i}"), format!("p{token}").into_bytes());
         }
@@ -744,14 +670,14 @@ mod pipelining {
 
     #[test]
     fn random_sequences_match_sequential_client_byte_for_byte() {
-        let seed = prop_seed();
+        let seed = prop_seed(DEFAULT_PROP_SEED);
         let (server, _hits) = scripted_server();
         let url = Url::parse(&server.base_url()).unwrap();
-        let mut state = seed;
+        let mut rng = Rng::new(seed);
         for round in 0..12u64 {
             let depth = (round as usize % 8) + 1;
-            let len = 1 + (next(&mut state) % 20) as usize;
-            let requests: Vec<Request> = (0..len).map(|i| random_request(&mut state, i)).collect();
+            let len = 1 + rng.below(20) as usize;
+            let requests: Vec<Request> = (0..len).map(|i| random_request(&mut rng, i)).collect();
 
             let sequential = HttpClient::new();
             let expected: Vec<Response> = requests

@@ -5,18 +5,14 @@
 //! (seed, entity, time): two identical queries at the same simulated
 //! instant must return identical results, while queries weeks apart drift.
 //! `std`'s hashers are not guaranteed stable across runs, so we use our own
-//! splitmix64-based mixer.
+//! splitmix64-based mixer ([`mix64`], from `ytaudit_types::kit`).
 
 use ytaudit_types::time::DAY;
 use ytaudit_types::Timestamp;
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixer.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// SplitMix64: the workspace's one 64-bit mixer, shared with identifier
+/// minting.
+pub use ytaudit_types::kit::mix64;
 
 /// Combines a sequence of words into one hash (order-sensitive).
 pub fn mix_all(words: &[u64]) -> u64 {

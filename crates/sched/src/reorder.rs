@@ -75,15 +75,7 @@ impl<T> ReorderBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// splitmix64 — a tiny deterministic PRNG for the permutation test.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use ytaudit_types::kit::Rng;
 
     fn deliveries(skip: Vec<bool>, order: &[usize]) -> Vec<usize> {
         let mut buffer = ReorderBuffer::new(skip);
@@ -132,14 +124,14 @@ mod tests {
         // Property: whatever completion order the worker pool produces,
         // delivery is exactly plan order. 200 seeded shuffles of a
         // 17-slot plan with a couple of resumed slots.
-        let mut state = 0x5EEDu64;
+        let mut rng = Rng::new(0x5EED);
         for round in 0..200 {
             let n = 17;
             let skip: Vec<bool> = (0..n).map(|i| i % 7 == 3 && round % 2 == 0).collect();
             let mut order: Vec<usize> = (0..n).filter(|&i| !skip[i]).collect();
             // Fisher–Yates with the deterministic PRNG.
             for i in (1..order.len()).rev() {
-                let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
+                let j = rng.below(i as u64 + 1) as usize;
                 order.swap(i, j);
             }
             let expected: Vec<usize> = (0..n).filter(|&i| !skip[i]).collect();

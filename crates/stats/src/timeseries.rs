@@ -86,17 +86,13 @@ pub fn ljung_box(series: &[f64], max_lag: usize) -> Result<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ytaudit_types::kit::mix64;
 
     #[test]
     fn acf_of_constant_trendless_noise_is_small() {
         // A deterministic low-autocorrelation sequence (a hash, not an
         // LCG — linear congruences have strong lag structure).
-        let mix = |mut x: u64| {
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        let series: Vec<f64> = (0..200u64).map(|i| (mix(i) % 1000) as f64).collect();
+        let series: Vec<f64> = (0..200u64).map(|i| (mix64(i) % 1000) as f64).collect();
         let r = acf(&series, 10).unwrap();
         assert!((r[0] - 1.0).abs() < 1e-12);
         for &v in &r[1..] {

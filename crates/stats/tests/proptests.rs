@@ -1,7 +1,7 @@
 //! Property tests for the statistics crate: plain `#[test]`s over
-//! random cases from a generator seeded via `YTAUDIT_PROP_SEED` (a
-//! number, or any string such as a commit SHA, hashed), so CI can rotate
-//! the seed per commit; a failure names the seed and case.
+//! random cases from `ytaudit_types::kit::check`, so CI rotates them with
+//! `YTAUDIT_PROP_SEED`; a failure names the value and case to reproduce
+//! with.
 
 use std::collections::HashSet;
 use ytaudit_stats::descriptive::{describe, standardize};
@@ -11,92 +11,37 @@ use ytaudit_stats::ols::{OlsFit, OlsOptions};
 use ytaudit_stats::rank::{midranks, pearson, spearman};
 use ytaudit_stats::sets::{jaccard, set_differences};
 use ytaudit_stats::special::{chi2_cdf, normal_cdf, normal_quantile, t_cdf};
+use ytaudit_types::kit::{check, Rng};
 
 /// Random cases per property.
 const CASES: usize = 256;
 
-fn prop_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0x5EED_CAFE,
-    }
+/// Uniform in `[lo, hi)`.
+fn f64(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * ((rng.next() >> 11) as f64 / (1u64 << 53) as f64)
 }
 
-/// splitmix64 — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn below(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi - lo) as u64) as usize
-    }
-
-    /// Uniform in `[lo, hi)`.
-    fn f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
-    }
-
-    /// Finite values in `[-1e6, 1e6)`, `len` of them.
-    fn finite_vec(&mut self, lo: usize, hi: usize) -> Vec<f64> {
-        let len = self.below(lo, hi);
-        (0..len).map(|_| self.f64(-1e6, 1e6)).collect()
-    }
-
-    /// A set of `lo..hi` distinct values below 200.
-    fn set(&mut self, lo: usize, hi: usize) -> HashSet<u32> {
-        let len = self.below(lo, hi);
-        let mut set = HashSet::new();
-        while set.len() < len {
-            set.insert((self.next() % 200) as u32);
-        }
-        set
-    }
+/// Finite values in `[-1e6, 1e6)`, `lo..hi` of them.
+fn finite_vec(rng: &mut Rng, lo: i64, hi: i64) -> Vec<f64> {
+    let len = rng.range(lo, hi);
+    (0..len).map(|_| f64(rng, -1e6, 1e6)).collect()
 }
 
-/// Names the seed and case of a failing property while a panic unwinds.
-struct Case {
-    seed: u64,
-    case: usize,
-}
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!(
-                "property failed: YTAUDIT_PROP_SEED={} case {}",
-                self.seed, self.case
-            );
-        }
+/// A set of `lo..hi` distinct values below 200.
+fn set(rng: &mut Rng, lo: i64, hi: i64) -> HashSet<u32> {
+    let len = rng.range(lo, hi) as usize;
+    let mut set = HashSet::new();
+    while set.len() < len {
+        set.insert(rng.below(200) as u32);
     }
-}
-
-/// Runs `property` on [`CASES`] random cases; `salt` gives each property
-/// its own stream.
-fn check(salt: u64, mut property: impl FnMut(&mut Rng)) {
-    let seed = prop_seed();
-    let mut rng = Rng(seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-    for case in 0..CASES {
-        let _case = Case { seed, case };
-        property(&mut rng);
-    }
+    set
 }
 
 /// Jaccard is bounded, symmetric, and 1 exactly on equal sets.
 #[test]
 fn jaccard_properties() {
-    check(1, |rng| {
-        let (a, b) = (rng.set(0, 60), rng.set(0, 60));
+    check(CASES, 1, |rng| {
+        let (a, b) = (set(rng, 0, 60), set(rng, 0, 60));
         let j = jaccard(&a, &b);
         assert!((0.0..=1.0).contains(&j));
         assert_eq!(j, jaccard(&b, &a));
@@ -112,8 +57,8 @@ fn jaccard_properties() {
 /// Midranks are a permutation-with-ties of 1..n: they sum to n(n+1)/2.
 #[test]
 fn midranks_sum_invariant() {
-    check(2, |rng| {
-        let values = rng.finite_vec(1, 50);
+    check(CASES, 2, |rng| {
+        let values = finite_vec(rng, 1, 50);
         let ranks = midranks(&values);
         let n = values.len() as f64;
         let total: f64 = ranks.iter().sum();
@@ -126,9 +71,9 @@ fn midranks_sum_invariant() {
 /// transforms of either argument.
 #[test]
 fn correlation_bounds_and_affine_invariance() {
-    check(3, |rng| {
-        let x = rng.finite_vec(5, 30);
-        let (scale, shift) = (rng.f64(0.1, 100.0), rng.f64(-1000.0, 1000.0));
+    check(CASES, 3, |rng| {
+        let x = finite_vec(rng, 5, 30);
+        let (scale, shift) = (f64(rng, 0.1, 100.0), f64(rng, -1000.0, 1000.0));
         // Build y as a noisy-ish deterministic companion to avoid constant
         // vectors.
         let y: Vec<f64> = x
@@ -153,9 +98,9 @@ fn correlation_bounds_and_affine_invariance() {
 /// describe() is exact on location/scale transforms.
 #[test]
 fn describe_affine() {
-    check(4, |rng| {
-        let values = rng.finite_vec(2, 40);
-        let (scale, shift) = (rng.f64(0.001, 1000.0), rng.f64(-1e5, 1e5));
+    check(CASES, 4, |rng| {
+        let values = finite_vec(rng, 2, 40);
+        let (scale, shift) = (f64(rng, 0.001, 1000.0), f64(rng, -1e5, 1e5));
         let base = describe(&values).unwrap();
         let transformed: Vec<f64> = values.iter().map(|v| v * scale + shift).collect();
         let t = describe(&transformed).unwrap();
@@ -168,8 +113,8 @@ fn describe_affine() {
 /// Standardized vectors have mean ~0 and sd ~1 (when non-constant).
 #[test]
 fn standardize_properties() {
-    check(5, |rng| {
-        let values = rng.finite_vec(3, 40);
+    check(CASES, 5, |rng| {
+        let values = finite_vec(rng, 3, 40);
         let z = standardize(&values);
         assert_eq!(z.len(), values.len());
         let d = describe(&z).unwrap();
@@ -184,16 +129,10 @@ fn standardize_properties() {
 /// reproduces the RHS.
 #[test]
 fn spd_solve_round_trip() {
-    check(6, |rng| {
-        let (seed, n) = (rng.below(0, 1000) as u64, rng.below(2, 8));
-        // Deterministic pseudo-random SPD matrix A = BᵀB + nI.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1000) as f64 / 500.0 - 1.0
-        };
+    check(CASES, 6, |rng| {
+        let n = rng.range(2, 8);
+        // Pseudo-random SPD matrix A = BᵀB + nI.
+        let mut next = || f64(rng, -1.0, 1.0);
         let b_rows: Vec<Vec<f64>> = (0..n).map(|_| (0..n).map(|_| next()).collect()).collect();
         let b = Matrix::from_rows(&b_rows).unwrap();
         let mut a = b.transpose().matmul(&b).unwrap();
@@ -216,15 +155,15 @@ fn spd_solve_round_trip() {
 /// the design points.
 #[test]
 fn ols_exact_recovery() {
-    check(7, |rng| {
-        let len = rng.below(10, 40);
+    check(CASES, 7, |rng| {
+        let len = rng.range(10, 40);
         let xs: Vec<(f64, f64)> = (0..len)
-            .map(|_| (rng.f64(-100.0, 100.0), rng.f64(-100.0, 100.0)))
+            .map(|_| (f64(rng, -100.0, 100.0), f64(rng, -100.0, 100.0)))
             .collect();
         let (b0, b1, b2) = (
-            rng.f64(-10.0, 10.0),
-            rng.f64(-10.0, 10.0),
-            rng.f64(-10.0, 10.0),
+            f64(rng, -10.0, 10.0),
+            f64(rng, -10.0, 10.0),
+            f64(rng, -10.0, 10.0),
         );
         // Ensure the design is not collinear by perturbing the second
         // column deterministically.
@@ -246,8 +185,8 @@ fn ols_exact_recovery() {
 /// quantile inverts the normal CDF.
 #[test]
 fn distribution_functions_are_cdfs() {
-    check(8, |rng| {
-        let (z, df) = (rng.f64(-8.0, 8.0), rng.f64(1.0, 200.0));
+    check(CASES, 8, |rng| {
+        let (z, df) = (f64(rng, -8.0, 8.0), f64(rng, 1.0, 200.0));
         let p = normal_cdf(z);
         assert!((0.0..=1.0).contains(&p));
         assert!(normal_cdf(z + 0.1) >= p);
@@ -271,10 +210,10 @@ fn distribution_functions_are_cdfs() {
 /// counts equal (sequence length − 2) per sequence.
 #[test]
 fn markov_conservation() {
-    check(9, |rng| {
-        let n = rng.below(1, 10);
+    check(CASES, 9, |rng| {
+        let n = rng.range(1, 10);
         let seqs: Vec<Vec<bool>> = (0..n)
-            .map(|_| (0..rng.below(3, 20)).map(|_| rng.next() % 2 == 0).collect())
+            .map(|_| (0..rng.range(3, 20)).map(|_| rng.next() % 2 == 0).collect())
             .collect();
         let mut chain = MarkovChain2::new();
         let mut expected = 0u64;
@@ -299,10 +238,9 @@ fn markov_conservation() {
 /// Fold-order invariance and `merge` associativity for the streaming
 /// accumulators behind `analyze --follow`.
 ///
-/// These are plain `#[test]`s driven by an explicit xorshift generator
-/// (seeded from `YTAUDIT_PROP_SEED`, CI rotates it per commit) so they
-/// run identically everywhere. The contract under test is the one the
-/// batch/follow equivalence suite leans on:
+/// These are plain `#[test]`s over `ytaudit_types::kit::check` cases
+/// (CI rotates them with `YTAUDIT_PROP_SEED`). The contract under test
+/// is the one the batch/follow equivalence suite leans on:
 ///
 /// * count-based state (`ObservationSet`, `MarkovChain2`, every `n`,
 ///   `min`, `max`) is *exactly* fold-order invariant;
@@ -315,51 +253,18 @@ fn markov_conservation() {
 /// model ordered snapshot sequences — so for them the property is
 /// determinism: identical input sequences produce identical state.
 mod fold_invariance {
+    use super::f64;
     use ytaudit_stats::descriptive::Moments;
     use ytaudit_stats::markov::{MarkovChain2, PresenceAccumulator, State2};
     use ytaudit_stats::ols::OlsAccumulator;
     use ytaudit_stats::ordinal::ObservationSet;
     use ytaudit_stats::sets::OverlapAccumulator;
+    use ytaudit_types::kit::{check, Rng};
 
-    /// xorshift64*: tiny, seedable, dependency-free.
-    struct Rng(u64);
-
-    impl Rng {
-        fn seeded(salt: u64) -> Rng {
-            // Numeric, or an FNV-hashed commit SHA — the shard-equivalence
-            // suite's rotation convention.
-            let seed = match std::env::var("YTAUDIT_PROP_SEED") {
-                Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                    raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                    })
-                }),
-                Err(_) => 0x5EED_CAFE,
-            };
-            Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt | 1)
-        }
-
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n.max(1)
-        }
-
-        /// A finite f64 in roughly [-1e3, 1e3].
-        fn f64(&mut self) -> f64 {
-            (self.next() % 2_000_001) as f64 / 1_000.0 - 1_000.0
-        }
-
-        /// Fisher–Yates.
-        fn shuffle<T>(&mut self, items: &mut [T]) {
-            for i in (1..items.len()).rev() {
-                items.swap(i, self.below(i as u64 + 1) as usize);
-            }
+    /// Fisher–Yates.
+    fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.below(i as u64 + 1) as usize);
         }
     }
 
@@ -369,11 +274,12 @@ mod fold_invariance {
 
     #[test]
     fn moments_fold_order_invariance() {
-        let mut rng = Rng::seeded(1);
-        for _ in 0..50 {
-            let values: Vec<f64> = (0..2 + rng.below(60)).map(|_| rng.f64()).collect();
+        check(50, 101, |rng| {
+            let values: Vec<f64> = (0..2 + rng.below(60))
+                .map(|_| f64(rng, -1e3, 1e3))
+                .collect();
             let mut shuffled = values.clone();
-            rng.shuffle(&mut shuffled);
+            shuffle(rng, &mut shuffled);
             let mut a = Moments::new();
             let mut b = Moments::new();
             values.iter().for_each(|&v| a.fold(v));
@@ -384,15 +290,18 @@ mod fold_invariance {
             assert_eq!(da.max, db.max, "max is exact");
             assert!(close(da.mean, db.mean, 1e-9), "{} vs {}", da.mean, db.mean);
             assert!(close(da.std, db.std, 1e-9), "{} vs {}", da.std, db.std);
-        }
+        });
     }
 
     #[test]
     fn moments_merge_is_associative_and_matches_folding() {
-        let mut rng = Rng::seeded(2);
-        for _ in 0..50 {
+        check(50, 102, |rng| {
             let chunks: Vec<Vec<f64>> = (0..3)
-                .map(|_| (0..1 + rng.below(20)).map(|_| rng.f64()).collect())
+                .map(|_| {
+                    (0..1 + rng.below(20))
+                        .map(|_| f64(rng, -1e3, 1e3))
+                        .collect()
+                })
                 .collect();
             let acc = |values: &[f64]| {
                 let mut m = Moments::new();
@@ -420,17 +329,16 @@ mod fold_invariance {
                 assert!(close(dx.mean, dy.mean, 1e-9));
                 assert!(close(dx.std, dy.std, 1e-9));
             }
-        }
+        });
     }
 
     #[test]
     fn ols_accumulator_fold_order_invariance_and_merge_associativity() {
-        let mut rng = Rng::seeded(3);
-        for _ in 0..25 {
+        check(25, 103, |rng| {
             let p = 2 + rng.below(3) as usize;
             let rows: Vec<(Vec<f64>, f64)> = (0..p as u64 + 4 + rng.below(30))
                 .map(|i| {
-                    let mut row: Vec<f64> = (0..p - 1).map(|_| rng.f64()).collect();
+                    let mut row: Vec<f64> = (0..p - 1).map(|_| f64(rng, -1e3, 1e3)).collect();
                     row.insert(0, 1.0);
                     // A deterministic, non-collinear response.
                     let y = row.iter().sum::<f64>() + i as f64 * 0.25;
@@ -446,7 +354,7 @@ mod fold_invariance {
             };
             let ordered = acc(&rows);
             let mut shuffled_rows = rows.clone();
-            rng.shuffle(&mut shuffled_rows);
+            shuffle(rng, &mut shuffled_rows);
             let shuffled = acc(&shuffled_rows);
             assert_eq!(ordered.count(), shuffled.count());
             for (bo, bs) in ordered
@@ -476,13 +384,12 @@ mod fold_invariance {
             for (xl, xr) in left.xty().iter().zip(right.xty()) {
                 assert!(close(*xl, *xr, 1e-9));
             }
-        }
+        });
     }
 
     #[test]
     fn observation_set_fold_order_and_merge_are_bit_exact() {
-        let mut rng = Rng::seeded(4);
-        for _ in 0..50 {
+        check(50, 104, |rng| {
             let obs: Vec<(Vec<f64>, usize)> = (0..1 + rng.below(40))
                 .map(|_| {
                     // A small value pool forces repeated rows (counted, not
@@ -492,7 +399,7 @@ mod fold_invariance {
                 })
                 .collect();
             let mut shuffled_obs = obs.clone();
-            rng.shuffle(&mut shuffled_obs);
+            shuffle(rng, &mut shuffled_obs);
             let build = |obs: &[(Vec<f64>, usize)]| {
                 let mut s = ObservationSet::new();
                 for (row, category) in obs {
@@ -512,13 +419,12 @@ mod fold_invariance {
             let mut flipped = b;
             flipped.merge(&a);
             assert_eq!(flipped, ordered, "merge commutes exactly");
-        }
+        });
     }
 
     #[test]
     fn markov_chain_fold_order_and_merge_are_exact() {
-        let mut rng = Rng::seeded(5);
-        for _ in 0..50 {
+        check(50, 105, |rng| {
             let seqs: Vec<Vec<bool>> = (0..1 + rng.below(8))
                 .map(|_| (0..3 + rng.below(12)).map(|_| rng.below(2) == 0).collect())
                 .collect();
@@ -531,7 +437,7 @@ mod fold_invariance {
             };
             let ordered = build(&seqs);
             let mut shuffled_seqs = seqs.clone();
-            rng.shuffle(&mut shuffled_seqs);
+            shuffle(rng, &mut shuffled_seqs);
             let shuffled = build(&shuffled_seqs);
             // Counts are integers: any fold order and any merge grouping
             // gives the same chain, bit for bit.
@@ -544,14 +450,13 @@ mod fold_invariance {
                     assert_eq!(ordered.count(state, next), merged.count(state, next));
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn sequence_accumulators_are_deterministic() {
         use std::collections::HashSet;
-        let mut rng = Rng::seeded(6);
-        for _ in 0..20 {
+        check(20, 106, |rng| {
             let snapshots: Vec<HashSet<u64>> = (0..3 + rng.below(8))
                 .map(|_| (0..rng.below(12)).map(|_| rng.below(30)).collect())
                 .collect();
@@ -576,6 +481,6 @@ mod fold_invariance {
                     );
                 }
             }
-        }
+        });
     }
 }

@@ -81,6 +81,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ytaudit_types::kit::{prop_seed, Rng};
 
     /// The bytewise reference the slice-by-8 loop must agree with.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
@@ -117,25 +118,10 @@ mod tests {
 
     /// Every length 0..=64 covers each remainder after whole 8-byte
     /// words; random buffers at every start alignment cover the word loop
-    /// on unaligned slices. The seed comes from `YTAUDIT_PROP_SEED`.
+    /// on unaligned slices. `YTAUDIT_PROP_SEED` rotates the buffers.
     #[test]
     fn slice_by_8_matches_the_bytewise_oracle() {
-        // A numeric seed, or any other string (CI passes a commit SHA)
-        // FNV-hashed.
-        let mut state = match std::env::var("YTAUDIT_PROP_SEED") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            }),
-            Err(_) => 0xC3C3_2024,
-        };
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = Rng::new(prop_seed(0xC3C3_2024));
         let ramp: Vec<u8> = (0..=64u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
         for len in 0..=64 {
             assert_eq!(
@@ -145,8 +131,8 @@ mod tests {
             );
         }
         for _ in 0..200 {
-            let len = (next() % 4096) as usize + 8;
-            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let len = rng.below(4096) as usize + 8;
+            let buf: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
             for align in 0..8 {
                 let slice = &buf[align..];
                 assert_eq!(

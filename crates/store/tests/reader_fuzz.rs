@@ -11,9 +11,9 @@
 //! The binary's global allocator records the largest single request,
 //! which must stay within a small multiple of the input's size.
 //!
-//! The seed comes from `YTAUDIT_PROP_SEED` (a number, or any string,
-//! hashed), so CI can rotate it per commit; a failure names the seed
-//! and case to reproduce with.
+//! The cases come from `ytaudit_types::kit`, so `YTAUDIT_PROP_SEED`
+//! rotates them per commit; a failure names the seed and case, and the
+//! test's stderr the value to reproduce with.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -28,6 +28,7 @@ use ytaudit_store::log::{self, FRAME_HEADER, MAX_RECORD};
 use ytaudit_store::{
     follow_analyze, read_dataset, CollectionMeta, FollowOptions, Store, TailReader, TempDir,
 };
+use ytaudit_types::kit::{prop_seed, Rng};
 use ytaudit_types::{ChannelId, PlatformKind, Timestamp, Topic, VideoId};
 
 /// Passes every request to the system allocator, remembering the
@@ -59,33 +60,6 @@ unsafe impl GlobalAlloc for Tracking {
 
 #[global_allocator]
 static ALLOCATOR: Tracking = Tracking;
-
-/// splitmix64 over the suite seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
-
-fn env_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0xF0_22ED,
-    }
-}
 
 fn vid(n: u32) -> VideoId {
     VideoId::new(format!("vid-{n:05}"))
@@ -212,19 +186,19 @@ fn mutate(
     other: &[u8],
     other_frames: &[(usize, usize)],
 ) -> String {
-    let (offset, len) = frames[rng.below(frames.len())];
+    let (offset, len) = frames[rng.below(frames.len() as u64) as usize];
     let payload = offset + FRAME_HEADER as usize;
     match rng.below(6) {
         0 => {
             let flips = 1 + rng.below(4);
             for _ in 0..flips {
-                let at = rng.below(image.len());
+                let at = rng.below(image.len() as u64) as usize;
                 image[at] ^= 1 << rng.below(8);
             }
             format!("{flips} bit flips")
         }
         1 => {
-            let cut = rng.below(image.len() + 1);
+            let cut = rng.below((image.len() + 1) as u64) as usize;
             image.truncate(cut);
             format!("truncated to {cut} bytes")
         }
@@ -240,7 +214,7 @@ fn mutate(
             format!("frame at {offset} claims {claimed} bytes")
         }
         3 if len >= 4 => {
-            let at = payload + rng.below(len - 3);
+            let at = payload + rng.below((len - 3) as u64) as usize;
             let count = match rng.below(4) {
                 0 => u32::MAX,
                 1 => 0x7FFF_FFFF,
@@ -254,14 +228,14 @@ fn mutate(
         4 => {
             let flips = 1 + rng.below(3);
             for _ in 0..flips {
-                image[payload + rng.below(len)] ^= 1 << rng.below(8);
+                image[payload + rng.below(len as u64) as usize] ^= 1 << rng.below(8);
             }
             reseal(image, offset, len);
             format!("resealed frame at {offset} with {flips} bit flips")
         }
         _ => {
-            let (cut, _) = frames[rng.below(frames.len())];
-            let (from, _) = other_frames[rng.below(other_frames.len())];
+            let (cut, _) = frames[rng.below(frames.len() as u64) as usize];
+            let (from, _) = other_frames[rng.below(other_frames.len() as u64) as usize];
             if rng.below(3) == 0 {
                 // Replay a frame of this image at the end.
                 let frame = image[offset..payload + len].to_vec();
@@ -298,7 +272,7 @@ fn read_every_way(path: &Path) {
 
 #[test]
 fn mutated_store_images_give_typed_results_without_panics_or_huge_allocations() {
-    let seed = env_seed();
+    let seed = prop_seed(0xF0_22ED);
     let dir = TempDir::new("reader-fuzz");
     let images = [
         build_image(
@@ -312,9 +286,9 @@ fn mutated_store_images_give_typed_results_without_panics_or_huge_allocations() 
     ];
     let image_frames = [frames(&dir.file("a.yts")), frames(&dir.file("b.yts"))];
     let path = dir.file("mutated.yts");
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     for case in 0..400 {
-        let pick = rng.below(2);
+        let pick = rng.below(2) as usize;
         let mut image = images[pick].clone();
         let mut steps = Vec::new();
         // A second mutation only follows one that kept every frame in

@@ -16,22 +16,13 @@
 //! the paper shows endpoint/parameter confusion is a real source of
 //! irreproducibility in published work.
 
+use crate::kit::mix64;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
 /// The URL-safe base-64 alphabet YouTube identifiers draw from.
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
-
-/// SplitMix64 — a tiny, high-quality bijective mixer. Used to turn corpus
-/// indices into identifier bits so consecutive indices yield uncorrelated,
-/// realistic-looking IDs.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Encodes `count` base-64 characters from a stream seeded with `seed`.
 fn encode_base64ish(seed: u64, count: usize) -> String {
@@ -41,7 +32,7 @@ fn encode_base64ish(seed: u64, count: usize) -> String {
     let mut available = 0u32;
     for _ in 0..count {
         if available < 6 {
-            state = splitmix64(state);
+            state = mix64(state);
             bits = state;
             available = 64;
         }
@@ -133,7 +124,7 @@ impl VideoId {
     /// Mints the video ID for corpus index `index` under `seed`.
     pub fn mint(seed: u64, index: u64) -> VideoId {
         VideoId(encode_base64ish(
-            splitmix64(seed ^ 0x5649_4445_4f00_0000).wrapping_add(index),
+            mix64(seed ^ 0x5649_4445_4f00_0000).wrapping_add(index),
             11,
         ))
     }
@@ -142,10 +133,7 @@ impl VideoId {
 impl ChannelId {
     /// Mints the channel ID for corpus index `index` under `seed`.
     pub fn mint(seed: u64, index: u64) -> ChannelId {
-        let tail = encode_base64ish(
-            splitmix64(seed ^ 0x4348_414e_4e45_4c00).wrapping_add(index),
-            22,
-        );
+        let tail = encode_base64ish(mix64(seed ^ 0x4348_414e_4e45_4c00).wrapping_add(index), 22);
         ChannelId(format!("UC{tail}"))
     }
 
@@ -181,7 +169,7 @@ impl CommentId {
     /// Mints a top-level comment ID for corpus index `index` under `seed`.
     pub fn mint_top_level(seed: u64, index: u64) -> CommentId {
         CommentId(encode_base64ish(
-            splitmix64(seed ^ 0x434f_4d4d_454e_5400).wrapping_add(index),
+            mix64(seed ^ 0x434f_4d4d_454e_5400).wrapping_add(index),
             26,
         ))
     }
@@ -190,7 +178,7 @@ impl CommentId {
     /// `parent.suffix` the way the real API nests reply IDs.
     pub fn mint_reply(&self, reply_index: u64) -> CommentId {
         let suffix = encode_base64ish(
-            splitmix64(0x5245_504c_5900_0000 ^ reply_index).wrapping_add(
+            mix64(0x5245_504c_5900_0000 ^ reply_index).wrapping_add(
                 self.0.bytes().fold(0u64, |acc, b| {
                     acc.wrapping_mul(131).wrapping_add(u64::from(b))
                 }),

@@ -21,7 +21,10 @@
 //!   envelope (reasons such as `quotaExceeded`);
 //! * [`wire`] — the binary wire codec (a bounds-checked little-endian
 //!   [`wire::Writer`]/[`wire::Reader`] pair) behind the store's record
-//!   log, the analyzer checkpoint and the dist protocol.
+//!   log, the analyzer checkpoint and the dist protocol;
+//! * [`kit`] — the SplitMix64 mixer identifiers are minted with, and the
+//!   seeded test kit every property, fuzz and equivalence suite draws its
+//!   cases from (one `YTAUDIT_PROP_SEED` rule).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +32,7 @@
 pub mod error;
 pub mod id;
 pub mod json;
+pub mod kit;
 pub mod platform;
 pub mod resources;
 pub mod time;

@@ -418,24 +418,14 @@ mod tests {
     /// never panic, and every count handed out must fit the bytes left.
     #[test]
     fn primitive_reads_never_panic_on_random_input() {
-        let mut state = std::env::var("YTAUDIT_PROP_SEED")
-            .ok()
-            .and_then(|raw| raw.parse::<u64>().ok())
-            .unwrap_or(0x5EED_CAFE);
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        for _ in 0..2_000 {
-            let len = next() % 48;
+        crate::kit::check(2_000, 0, |rng| {
+            let len = rng.below(48);
             let buf: Vec<u8> = (0..len)
-                .map(|_| [0xFF, 0, next() as u8][(next() % 3) as usize])
+                .map(|_| [0xFF, 0, rng.next() as u8][rng.below(3) as usize])
                 .collect();
             let mut r = Reader::new(&buf);
             for _ in 0..16 {
-                let ok = match next() % 12 {
+                let ok = match rng.below(12) {
                     0 => r.u8().is_ok(),
                     1 => r.u16().is_ok(),
                     2 => r.u32().is_ok(),
@@ -445,7 +435,7 @@ mod tests {
                     6 => r.opt_bool().is_ok(),
                     7 => r.bytes().is_ok(),
                     8 => r.str().is_ok(),
-                    9 => r.raw((next() % 8) as usize).is_ok(),
+                    9 => r.raw(rng.below(8) as usize).is_ok(),
                     10 => r.list(Reader::u16).is_ok(),
                     _ => r.count().map(|n| assert!(n <= r.remaining())).is_ok(),
                 };
@@ -455,6 +445,6 @@ mod tests {
             }
             r.rest();
             r.expect_end().unwrap();
-        }
+        });
     }
 }

@@ -1,75 +1,19 @@
 //! Property tests for the civil-time and identifier primitives: plain
-//! `#[test]`s over random cases drawn from a seeded generator. The seed
-//! comes from `YTAUDIT_PROP_SEED` (a number, or any string such as a
-//! commit SHA, hashed), so CI can rotate it per commit; a failure names
-//! the seed and case to reproduce with.
+//! `#[test]`s over random cases from `ytaudit_types::kit::check`, so CI
+//! rotates them with `YTAUDIT_PROP_SEED` and a failure names the value
+//! and case to reproduce with.
 
+use ytaudit_types::kit::check;
 use ytaudit_types::time::{days_in_month, CivilDate, HOUR};
 use ytaudit_types::{ChannelId, CommentId, IsoDuration, Timestamp, VideoId};
 
 /// Random cases per property.
 const CASES: usize = 256;
 
-fn prop_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0x5EED_CAFE,
-    }
-}
-
-/// splitmix64 — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo) as u64) as i64
-    }
-}
-
-/// Names the seed and case of a failing property while a panic unwinds.
-struct Case {
-    seed: u64,
-    case: usize,
-}
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!(
-                "property failed: YTAUDIT_PROP_SEED={} case {}",
-                self.seed, self.case
-            );
-        }
-    }
-}
-
-/// Runs `property` on [`CASES`] random cases; `salt` gives each property
-/// its own stream.
-fn check(salt: u64, mut property: impl FnMut(&mut Rng)) {
-    let seed = prop_seed();
-    let mut rng = Rng(seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-    for case in 0..CASES {
-        let _case = Case { seed, case };
-        property(&mut rng);
-    }
-}
-
 /// Any in-range timestamp formats to RFC 3339 and parses back exactly.
 #[test]
 fn rfc3339_round_trip() {
-    check(1, |rng| {
+    check(CASES, 1, |rng| {
         let ts = Timestamp(rng.range(-4_000_000_000, 10_000_000_000));
         let text = ts.to_rfc3339();
         assert_eq!(Timestamp::parse_rfc3339(&text).unwrap(), ts);
@@ -79,7 +23,7 @@ fn rfc3339_round_trip() {
 /// Civil date <-> day-count conversion is a bijection.
 #[test]
 fn civil_date_round_trip() {
-    check(2, |rng| {
+    check(CASES, 2, |rng| {
         let days = rng.range(-1_000_000, 1_000_000);
         let date = CivilDate::from_days_since_epoch(days);
         assert_eq!(date.days_since_epoch(), days);
@@ -92,7 +36,7 @@ fn civil_date_round_trip() {
 /// Consecutive day counts yield consecutive civil dates.
 #[test]
 fn civil_dates_are_monotone() {
-    check(3, |rng| {
+    check(CASES, 3, |rng| {
         let days = rng.range(-1_000_000, 1_000_000);
         let a = CivilDate::from_days_since_epoch(days);
         let b = CivilDate::from_days_since_epoch(days + 1);
@@ -103,7 +47,7 @@ fn civil_dates_are_monotone() {
 /// ISO-8601 durations round-trip through their canonical rendering.
 #[test]
 fn duration_round_trip() {
-    check(4, |rng| {
+    check(CASES, 4, |rng| {
         let d = IsoDuration::from_secs(rng.range(0, 100_000_000) as u64);
         assert_eq!(IsoDuration::parse(&d.format()).unwrap(), d);
     });
@@ -113,7 +57,7 @@ fn duration_round_trip() {
 /// less than one hour away.
 #[test]
 fn floor_hour_properties() {
-    check(5, |rng| {
+    check(CASES, 5, |rng| {
         let ts = Timestamp(rng.range(-10_000_000_000, 10_000_000_000));
         let floored = ts.floor_hour();
         assert!(floored <= ts);
@@ -126,7 +70,7 @@ fn floor_hour_properties() {
 /// hourly bin relative to any origin.
 #[test]
 fn hour_bins_tile() {
-    check(6, |rng| {
+    check(CASES, 6, |rng| {
         let origin = Timestamp(rng.range(-1_000_000, 1_000_000) * 977);
         let ts = Timestamp(origin.as_secs() + rng.range(-1_000_000, 1_000_000));
         let bin = ts.hours_since(origin);
@@ -140,7 +84,7 @@ fn hour_bins_tile() {
 /// unlikely to collide across nearby indices.
 #[test]
 fn id_minting_deterministic() {
-    check(7, |rng| {
+    check(CASES, 7, |rng| {
         let (seed, index) = (rng.next(), rng.range(0, 1_000_000) as u64);
         assert_eq!(VideoId::mint(seed, index), VideoId::mint(seed, index));
         assert_ne!(VideoId::mint(seed, index), VideoId::mint(seed, index + 1));
@@ -151,7 +95,7 @@ fn id_minting_deterministic() {
 /// Reply IDs always recover their parent.
 #[test]
 fn reply_parent_round_trip() {
-    check(8, |rng| {
+    check(CASES, 8, |rng| {
         let parent = CommentId::mint_top_level(rng.next(), rng.range(0, 10_000) as u64);
         let child = parent.mint_reply(rng.range(0, 100) as u64);
         assert_eq!(child.parent().unwrap(), parent);
@@ -161,7 +105,7 @@ fn reply_parent_round_trip() {
 /// Uploads playlists round-trip to their channel.
 #[test]
 fn uploads_playlist_round_trip() {
-    check(9, |rng| {
+    check(CASES, 9, |rng| {
         let channel = ChannelId::mint(rng.next(), rng.range(0, 100_000) as u64);
         assert_eq!(
             channel.uploads_playlist().uploads_channel().unwrap(),

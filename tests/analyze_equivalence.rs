@@ -13,7 +13,7 @@
 //! * a writer and a follower running concurrently on the real file.
 //!
 //! Payloads are a pure function of `(seed, topic, snapshot)`, with the
-//! seed taken from `YTAUDIT_PROP_SEED` (CI rotates it per commit) so
+//! seed rotated by `YTAUDIT_PROP_SEED` (CI sets it per commit) so
 //! every run exercises a fresh dataset without losing reproducibility.
 //! Golden-report fixtures under `tests/fixtures/` use fixed seeds
 //! instead: they exist to turn silent numeric drift into a red diff, and
@@ -27,9 +27,11 @@ use ytaudit::core::dataset::{
 };
 use ytaudit::core::{Analyzer, CollectorConfig, CollectorSink, TopicCommit};
 use ytaudit::store::{follow_analyze, FollowOptions, Store, TailEvent, TailReader, TempDir};
-use ytaudit::types::{ChannelId, Timestamp, Topic, VideoId};
+use ytaudit::types::{kit, ChannelId, Timestamp, Topic, VideoId};
 
-/// xorshift64* — deterministic, dependency-free.
+/// xorshift64*. The golden reports in `tests/fixtures/` are computed
+/// from payloads this stream draws, so it keeps its own step rather than
+/// `ytaudit::types::kit::Rng`'s: a different stream would rewrite them.
 struct Rng(u64);
 
 impl Rng {
@@ -46,17 +48,10 @@ impl Rng {
 }
 
 /// The suite-wide dataset seed; CI rotates it via `YTAUDIT_PROP_SEED`
-/// (numeric, or an FNV-hashed commit SHA — the shard-equivalence
-/// convention), so every push analyzes fresh synthetic collections.
+/// (see `kit::prop_seed`), so every push analyzes fresh synthetic
+/// collections.
 fn env_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0xA11A_FACE,
-    }
+    kit::prop_seed(0xA11A_FACE)
 }
 
 /// A fresh generator for one pair — pure in `(seed, topic, snapshot)`,

@@ -39,6 +39,7 @@ use ytaudit::platform::faultpoint;
 use ytaudit::sched::{InProcessFactory, SchedulerConfig};
 use ytaudit::store::crc::crc32;
 use ytaudit::store::{Store, TempDir};
+use ytaudit::types::kit::prop_seed;
 use ytaudit::types::Topic;
 
 const SCALE: f64 = 0.08;
@@ -490,7 +491,7 @@ fn synthetic_wire_kills_at_coordinator_faultpoints_recover_exactly_once() {
     let _guard = exclusive();
     let dir = TempDir::new("dist-crash-synthetic");
     let config = plan();
-    let seed = h::prop_seed(11);
+    let seed = prop_seed(11);
     let reference_bytes = h::build_reference(&dir.file("synthetic-reference.yts"), &config, seed);
     let staged = h::build_shards(&dir.file("staging.yts"), &config, 2, seed);
     let shards: Vec<Vec<u8>> = staged.iter().map(|p| std::fs::read(p).unwrap()).collect();

@@ -40,6 +40,7 @@ use ytaudit::platform::clock::RealClock;
 use ytaudit::sched::{InProcessFactory, SchedulerConfig};
 use ytaudit::store::crc::crc32;
 use ytaudit::store::{Store, TempDir};
+use ytaudit::types::kit::prop_seed;
 use ytaudit::types::Topic;
 
 const SCALE: f64 = 0.08;
@@ -354,7 +355,7 @@ fn synthetic_fixture(
 fn synthetic_shippers_over_loopback_merge_byte_identical_for_every_topology() {
     let dir = TempDir::new("dist-equiv-synthetic");
     let config = plan();
-    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, h::prop_seed(7));
+    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, prop_seed(7));
 
     for n in WORKER_COUNTS {
         let dest = dir.file(&format!("synthetic-{n}.yts"));
@@ -398,7 +399,7 @@ fn synthetic_shippers_over_loopback_merge_byte_identical_for_every_topology() {
 fn synthetic_shippers_in_process_merge_byte_identical() {
     let dir = TempDir::new("dist-equiv-synthetic-local");
     let config = plan();
-    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, h::prop_seed(12));
+    let (reference_bytes, shards) = synthetic_fixture(&dir, &config, prop_seed(12));
 
     let dest = dir.file("synthetic-local.yts");
     let coord = coordinator(&config, &dest, 2);

@@ -11,6 +11,7 @@ use ytaudit::core::testutil::test_client_with_faults;
 use ytaudit::core::{Collector, CollectorConfig};
 use ytaudit::net::resilience::{Backoff, RetryPolicy};
 use ytaudit::platform::{Platform, SimClock};
+use ytaudit::types::kit::Rng;
 use ytaudit::types::{ApiErrorReason, Timestamp, Topic};
 
 fn faulty_service(scale: f64, faults: FaultConfig, quota: u64) -> Arc<ApiService> {
@@ -236,18 +237,15 @@ fn store_truncated_at_arbitrary_offset_keeps_every_committed_pair() {
     let file_len = bytes.len() as u64;
     assert_eq!(commit_lens.len(), 6);
 
-    // Offsets: every commit boundary ±1, the file ends, and an LCG
+    // Offsets: every commit boundary ±1, the file ends, and a seeded
     // scatter across the whole file.
     let mut cuts: Vec<u64> = vec![0, 1, 7, 8, 9, file_len - 1, file_len];
     for &len in &commit_lens {
         cuts.extend([len - 1, len, len + 1]);
     }
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut rng = Rng::new(0x9E37_79B9_7F4A_7C15);
     for _ in 0..40 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        cuts.push(x % (file_len + 1));
+        cuts.push(rng.below(file_len + 1));
     }
 
     for cut in cuts {

@@ -15,21 +15,12 @@ mod store_harness;
 use store_harness as h;
 use ytaudit::core::CollectorConfig;
 use ytaudit::store::{merge_shards, Store, TempDir};
+use ytaudit::types::kit::{prop_seed, Rng};
 use ytaudit::types::Topic;
 
 /// The fixed property-test seed; CI rotates it via `YTAUDIT_PROP_SEED`
-/// (see [`h::prop_seed`]).
+/// (see [`prop_seed`]).
 const DEFAULT_PROP_SEED: u64 = 0x5EED_CAFE_D15C_0DE5;
-
-/// A splitmix64 step — the suite's only entropy source, fully
-/// determined by the seed.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[test]
 fn merge_is_byte_identical_for_shard_counts_one_through_eight() {
@@ -78,24 +69,24 @@ fn merged_store_passes_verification_and_loads_the_same_dataset() {
 /// topic set, snapshot count, and fetch flags, N in 1..=8.
 #[test]
 fn property_random_plans_merge_byte_identically() {
-    let seed = h::prop_seed(DEFAULT_PROP_SEED);
+    let seed = prop_seed(DEFAULT_PROP_SEED);
     let dir = TempDir::new("shard-equiv-prop");
-    let mut state = seed;
+    let mut rng = Rng::new(seed);
     for round in 0..6 {
-        let n_topics = 1 + (next(&mut state) % 3) as usize;
-        let start = (next(&mut state) % Topic::ALL.len() as u64) as usize;
+        let n_topics = 1 + rng.below(3) as usize;
+        let start = rng.below(Topic::ALL.len() as u64) as usize;
         let topics: Vec<Topic> = (0..n_topics)
             .map(|i| Topic::ALL[(start + i * 2) % Topic::ALL.len()])
             .collect();
-        let snapshots = 1 + (next(&mut state) % 2) as usize;
+        let snapshots = 1 + rng.below(2) as usize;
         let parent = CollectorConfig {
-            fetch_metadata: next(&mut state) % 4 != 0,
-            fetch_channels: next(&mut state) % 4 != 0,
-            fetch_comments: next(&mut state) % 2 == 0,
+            fetch_metadata: rng.below(4) != 0,
+            fetch_channels: rng.below(4) != 0,
+            fetch_comments: rng.below(2) == 0,
             ..h::plan(topics, snapshots)
         };
-        let count = 1 + (next(&mut state) % 8) as usize;
-        let payload_seed = next(&mut state);
+        let count = 1 + rng.below(8) as usize;
+        let payload_seed = rng.next();
         let ctx = format!(
             "seed={seed:#x} round={round}: {:?} × {snapshots}, count={count}, \
              meta={} chan={} comm={}",

@@ -1,10 +1,13 @@
 //! Cross-crate property tests: invariants of the simulated API as
-//! observed through the public client, for randomized queries and dates.
+//! observed through the public client, for randomized queries and dates
+//! drawn by `ytaudit::types::kit::check` (CI rotates them with
+//! `YTAUDIT_PROP_SEED`).
 
 use std::sync::Arc;
 use ytaudit::api::ApiService;
 use ytaudit::client::{InProcessTransport, Order, SearchQuery, YouTubeClient};
 use ytaudit::platform::{Platform, SimClock};
+use ytaudit::types::kit::{check, Rng};
 use ytaudit::types::{Timestamp, Topic};
 
 fn harness() -> (YouTubeClient, Arc<ApiService>) {
@@ -25,64 +28,8 @@ fn harness() -> (YouTubeClient, Arc<ApiService>) {
 /// Random cases per property: each builds its own platform.
 const CASES: usize = 12;
 
-fn prop_seed() -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => raw.parse().unwrap_or_else(|_| {
-            raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            })
-        }),
-        Err(_) => 0x5EED_CAFE,
-    }
-}
-
-/// splitmix64 — deterministic, dependency-free.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + (self.next() % (hi - lo) as u64) as i64
-    }
-
-    fn topic(&mut self) -> Topic {
-        Topic::ALL[self.range(0, Topic::ALL.len() as i64) as usize]
-    }
-}
-
-/// Names the seed and case of a failing property while a panic unwinds.
-struct Case {
-    seed: u64,
-    case: usize,
-}
-
-impl Drop for Case {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!(
-                "property failed: YTAUDIT_PROP_SEED={} case {}",
-                self.seed, self.case
-            );
-        }
-    }
-}
-
-/// Runs `property` on [`CASES`] random cases; `salt` gives each property
-/// its own stream.
-fn check(salt: u64, mut property: impl FnMut(&mut Rng)) {
-    let seed = prop_seed();
-    let mut rng = Rng(seed ^ salt.wrapping_mul(0xA076_1D64_78BD_642F));
-    for case in 0..CASES {
-        let _case = Case { seed, case };
-        property(&mut rng);
-    }
+fn topic(rng: &mut Rng) -> Topic {
+    Topic::ALL[rng.below(Topic::ALL.len() as u64) as usize]
 }
 
 /// For any topic, sub-window, and collection date: results are
@@ -90,8 +37,8 @@ fn check(salt: u64, mut property: impl FnMut(&mut Rng)) {
 /// window, and a subset of what the oracle says is eligible.
 #[test]
 fn search_results_are_sound() {
-    check(1, |rng| {
-        let topic = rng.topic();
+    check(CASES, 1, |rng| {
+        let topic = topic(rng);
         let start_day = rng.range(0, 21);
         let span_days = rng.range(1, 7);
         let collect_day = rng.range(0, 80);
@@ -139,8 +86,8 @@ fn search_results_are_sound() {
 /// returned set or the pool estimate, at any date.
 #[test]
 fn restriction_is_monotone() {
-    check(2, |rng| {
-        let (topic, collect_day) = (rng.topic(), rng.range(0, 80));
+    check(CASES, 2, |rng| {
+        let (topic, collect_day) = (topic(rng), rng.range(0, 80));
         let (client, _service) = harness();
         let date = Timestamp::from_ymd(2025, 2, 9)
             .unwrap()
@@ -161,8 +108,8 @@ fn restriction_is_monotone() {
 /// pages really do see fewer total results.
 #[test]
 fn pagination_is_a_prefix() {
-    check(3, |rng| {
-        let (topic, page_size) = (rng.topic(), rng.range(1, 50) as u32);
+    check(CASES, 3, |rng| {
+        let (topic, page_size) = (topic(rng), rng.range(1, 50) as u32);
         let (client, _service) = harness();
         client.set_sim_time(Some(Timestamp::from_ymd(2025, 3, 1).unwrap()));
         let big = client
@@ -181,7 +128,7 @@ fn pagination_is_a_prefix() {
 /// The quota ledger is exact: units spent = searches×100 + id calls.
 #[test]
 fn quota_arithmetic_is_exact() {
-    check(4, |rng| {
+    check(CASES, 4, |rng| {
         let (n_searches, n_video_calls) = (rng.range(1, 5) as usize, rng.range(0, 4) as usize);
         let (client, service) = harness();
         client.set_sim_time(Some(Timestamp::from_ymd(2025, 2, 9).unwrap()));

@@ -34,28 +34,6 @@ use ytaudit::types::{ChannelId, Timestamp, Topic, VideoId};
 /// Quota units the synthetic channel-fetch phase reports.
 pub const FINISH_DELTA: u64 = 9;
 
-/// A suite's payload or plan seed: `fixed` unless `YTAUDIT_PROP_SEED`
-/// is set (CI sets it from the commit SHA), in which case that value —
-/// a number, or any other string FNV-hashed — is folded into `fixed`.
-/// Every push then explores fresh payloads; the variable's value goes
-/// to the test's captured output, so a failure log names what to set
-/// to reproduce it.
-pub fn prop_seed(fixed: u64) -> u64 {
-    match std::env::var("YTAUDIT_PROP_SEED") {
-        Ok(raw) => {
-            let rotated = raw.parse().unwrap_or_else(|_| {
-                raw.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            });
-            let seed = rotated ^ fixed;
-            eprintln!("YTAUDIT_PROP_SEED={raw}: seed {fixed:#x} becomes {seed:#x}");
-            seed
-        }
-        Err(_) => fixed,
-    }
-}
-
 /// The quota the simulated API's own ledger charges one two-worker
 /// scheduler, on a fresh corpus of `scale` with `key`, for the whole of
 /// `config`: the total every partitioned run must match.
