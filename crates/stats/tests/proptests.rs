@@ -183,27 +183,36 @@ fn ols_exact_recovery() {
 
 /// Distribution functions are monotone CDFs in [0, 1], and the normal
 /// quantile inverts the normal CDF.
+fn cdf_case(z: f64, df: f64) {
+    let p = normal_cdf(z);
+    assert!((0.0..=1.0).contains(&p));
+    assert!(normal_cdf(z + 0.1) >= p);
+    // Inversion accuracy is limited by the float spacing of p near the
+    // tails (δz ≈ δp/φ(z)); restrict the check to where p carries
+    // enough precision.
+    if z.abs() < 6.0 && p > 1e-10 && p < 1.0 - 1e-10 {
+        assert!((normal_quantile(p) - z).abs() < 1e-6);
+    }
+    let tp = t_cdf(z, df);
+    assert!((0.0..=1.0).contains(&tp));
+    assert!(t_cdf(z + 0.1, df) >= tp - 1e-12);
+    let x = z.abs() * 3.0;
+    let cp = chi2_cdf(x, df);
+    assert!((0.0..=1.0).contains(&cp));
+    assert!(chi2_cdf(x + 0.1, df) >= cp - 1e-12);
+}
+
 #[test]
 fn distribution_functions_are_cdfs() {
     check(CASES, 8, |rng| {
-        let (z, df) = (f64(rng, -8.0, 8.0), f64(rng, 1.0, 200.0));
-        let p = normal_cdf(z);
-        assert!((0.0..=1.0).contains(&p));
-        assert!(normal_cdf(z + 0.1) >= p);
-        // Inversion accuracy is limited by the float spacing of p near the
-        // tails (δz ≈ δp/φ(z)); restrict the check to where p carries
-        // enough precision.
-        if z.abs() < 6.0 && p > 1e-10 && p < 1.0 - 1e-10 {
-            assert!((normal_quantile(p) - z).abs() < 1e-6);
-        }
-        let tp = t_cdf(z, df);
-        assert!((0.0..=1.0).contains(&tp));
-        assert!(t_cdf(z + 0.1, df) >= tp - 1e-12);
-        let x = z.abs() * 3.0;
-        let cp = chi2_cdf(x, df);
-        assert!((0.0..=1.0).contains(&cp));
-        assert!(chi2_cdf(x + 0.1, df) >= cp - 1e-12);
+        cdf_case(f64(rng, -8.0, 8.0), f64(rng, 1.0, 200.0))
     });
+}
+
+/// A case a shrinker once reduced a CDF monotonicity failure to.
+#[test]
+fn distribution_functions_pinned_case() {
+    cdf_case(6.541960967953414, 1.0);
 }
 
 /// Markov transition rows always sum to 1 over observed states, and

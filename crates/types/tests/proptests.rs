@@ -82,14 +82,23 @@ fn hour_bins_tile() {
 
 /// Minted identifiers are deterministic in (seed, index) and extremely
 /// unlikely to collide across nearby indices.
+fn id_minting_case(seed: u64, index: u64) {
+    assert_eq!(VideoId::mint(seed, index), VideoId::mint(seed, index));
+    assert_ne!(VideoId::mint(seed, index), VideoId::mint(seed, index + 1));
+    assert_eq!(ChannelId::mint(seed, index), ChannelId::mint(seed, index));
+}
+
 #[test]
 fn id_minting_deterministic() {
     check(CASES, 7, |rng| {
-        let (seed, index) = (rng.next(), rng.range(0, 1_000_000) as u64);
-        assert_eq!(VideoId::mint(seed, index), VideoId::mint(seed, index));
-        assert_ne!(VideoId::mint(seed, index), VideoId::mint(seed, index + 1));
-        assert_eq!(ChannelId::mint(seed, index), ChannelId::mint(seed, index));
+        id_minting_case(rng.next(), rng.range(0, 1_000_000) as u64)
     });
+}
+
+/// A case a shrinker once reduced an ID-minting failure to.
+#[test]
+fn id_minting_pinned_case() {
+    id_minting_case(4_876_036_691_110_918_229, 61_110);
 }
 
 /// Reply IDs always recover their parent.

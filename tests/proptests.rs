@@ -106,23 +106,32 @@ fn restriction_is_monotone() {
 /// exactly the first min(10·s, |result set|) items of the full walk —
 /// the documented "max 50 per page, max 10 pages" rule means small
 /// pages really do see fewer total results.
+fn pagination_case(topic: Topic, page_size: u32) {
+    let (client, _service) = harness();
+    client.set_sim_time(Some(Timestamp::from_ymd(2025, 3, 1).unwrap()));
+    let big = client
+        .search_all(&SearchQuery::for_topic(topic).max_results(50))
+        .unwrap()
+        .video_ids();
+    let small = client
+        .search_all(&SearchQuery::for_topic(topic).max_results(page_size))
+        .unwrap()
+        .video_ids();
+    let reachable = big.len().min(page_size as usize * 10);
+    assert_eq!(&small[..], &big[..reachable], "pages walk a stable prefix");
+}
+
 #[test]
 fn pagination_is_a_prefix() {
     check(CASES, 3, |rng| {
-        let (topic, page_size) = (topic(rng), rng.range(1, 50) as u32);
-        let (client, _service) = harness();
-        client.set_sim_time(Some(Timestamp::from_ymd(2025, 3, 1).unwrap()));
-        let big = client
-            .search_all(&SearchQuery::for_topic(topic).max_results(50))
-            .unwrap()
-            .video_ids();
-        let small = client
-            .search_all(&SearchQuery::for_topic(topic).max_results(page_size))
-            .unwrap()
-            .video_ids();
-        let reachable = big.len().min(page_size as usize * 10);
-        assert_eq!(&small[..], &big[..reachable], "pages walk a stable prefix");
+        pagination_case(topic(rng), rng.range(1, 50) as u32)
     });
+}
+
+/// A case a shrinker once reduced a pagination failure to.
+#[test]
+fn pagination_pinned_case() {
+    pagination_case(Topic::Blm, 1);
 }
 
 /// The quota ledger is exact: units spent = searches×100 + id calls.
