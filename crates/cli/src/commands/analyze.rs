@@ -64,7 +64,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     match args.get("report") {
         Some("-") => {
             // Machine output: the canonical JSON alone on stdout.
-            println!("{}", report.to_json());
+            outln!("{}", report.to_json());
             return Ok(());
         }
         Some(path) => {
@@ -79,7 +79,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         .into_iter()
         .filter(|&id| which == "all" || id == which)
     {
-        print!("{}", experiments::render(id, &report).unwrap_or_default());
+        out!("{}", experiments::render(id, &report).unwrap_or_default());
     }
     Ok(())
 }

@@ -460,7 +460,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
             let outcome = drive(&backend, &config, &key, workers, rate, in_flight, &mut sink);
             let store = sink.into_inner();
             let stats = store.stats();
-            println!(
+            outln!(
                 "store {spath}: {}/{} pairs committed, {} records, {} unique blobs \
                  (dedup ×{:.2}), {} quota units total",
                 stats.committed_pairs,
@@ -497,7 +497,7 @@ fn write_dataset_json(out: &str, dataset: &ytaudit_core::AuditDataset) -> Result
         .to_json()
         .map_err(|e| ArgError(format!("cannot serialize dataset: {e}")))?;
     write_atomic(out, &json).map_err(|e| ArgError(format!("cannot write {out}: {e}")))?;
-    println!(
+    outln!(
         "wrote {out}: {} snapshots, {} videos with metadata, {} channels",
         dataset.len(),
         dataset.video_meta.len(),

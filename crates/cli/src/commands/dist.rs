@@ -101,14 +101,14 @@ pub fn coordinate(args: &Args) -> Result<(), ArgError> {
     let server = Server::bind(&listen, handler, ServerConfig::default())
         .map_err(|e| ArgError(format!("cannot bind {listen}: {e}")))?;
     let total = coordinator.plan().total_ranges();
-    println!(
+    outln!(
         "coordinating {} topic ranges + finish on {}",
         total - 1,
         server.base_url()
     );
-    println!("workers:  ytaudit work --coordinator {}", server.base_url());
-    println!("status:   {}/dist/status", server.base_url());
-    println!("metrics:  {}/dist/metrics", server.base_url());
+    outln!("workers:  ytaudit work --coordinator {}", server.base_url());
+    outln!("status:   {}/dist/status", server.base_url());
+    outln!("metrics:  {}/dist/metrics", server.base_url());
 
     // Poll for completion; the protocol work all happens on server
     // threads, so this loop only watches the lease table.
@@ -122,12 +122,14 @@ pub fn coordinate(args: &Args) -> Result<(), ArgError> {
         let report = coordinator
             .merge()
             .map_err(|e| ArgError(format!("merge failed: {e}")))?;
-        println!(
+        outln!(
             "merged {} shards into {store}: {} pairs, {} bytes",
-            total, report.pairs_merged, report.bytes
+            total,
+            report.pairs_merged,
+            report.bytes
         );
     } else {
-        println!("all ranges committed; fold the shards with `ytaudit store merge {store}`");
+        outln!("all ranges committed; fold the shards with `ytaudit store merge {store}`");
     }
     Ok(())
 }
@@ -155,9 +157,13 @@ pub fn work(args: &Args) -> Result<(), ArgError> {
     let factory = backend.factory(1);
     let report = run_worker(&chan, factory.as_ref(), &cfg)
         .map_err(|e| ArgError(format!("worker failed: {e}")))?;
-    println!(
+    outln!(
         "worker {name}: {} leases, {} committed, {} duplicate, {} abandoned, {} waits",
-        report.leases, report.committed, report.duplicates, report.abandoned, report.waits
+        report.leases,
+        report.committed,
+        report.duplicates,
+        report.abandoned,
+        report.waits
     );
     Ok(())
 }

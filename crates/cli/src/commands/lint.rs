@@ -32,7 +32,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     match args.positional(1) {
         Some("rules") => {
             for rule in all_rules() {
-                println!("{:<18} {}", rule.name(), rule.description());
+                outln!("{:<18} {}", rule.name(), rule.description());
             }
             return Ok(());
         }
@@ -83,7 +83,7 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 
     let diags = check_path(&root, &CheckOptions { rules })
         .map_err(|e| ArgError(format!("cannot load workspace at {}: {e}", root.display())))?;
-    print!("{}", render(&diags, format));
+    out!("{}", render(&diags, format));
     if !diags.is_empty() {
         // Mirror the standalone binary's exit-code contract: 1 means the
         // workspace has violations (2 is reserved for usage/IO errors).

@@ -41,28 +41,28 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
         (searches, id_calls, "your plan")
     };
     let units = price(searches, id_calls);
-    println!("plan: {label}");
-    println!(
+    outln!("plan: {label}");
+    outln!(
         "  search calls : {searches:>10}  × 100 units = {:>10}",
         searches * 100
     );
-    println!("  id calls     : {id_calls:>10}  ×   1 unit  = {id_calls:>10}");
-    println!("  total        : {units:>10} units");
-    println!();
-    println!(
+    outln!("  id calls     : {id_calls:>10}  ×   1 unit  = {id_calls:>10}");
+    outln!("  total        : {units:>10} units");
+    outln!();
+    outln!(
         "  with a {daily}-unit/day key : {:.1} key-days",
         units as f64 / daily as f64
     );
-    println!(
+    outln!(
         "  with the default key ({DEFAULT_DAILY_QUOTA}/day) : {:.1} key-days",
         units as f64 / DEFAULT_DAILY_QUOTA as f64
     );
-    println!(
+    outln!(
         "  with a researcher key ({RESEARCHER_DAILY_QUOTA}/day) : {:.2} key-days",
         units as f64 / RESEARCHER_DAILY_QUOTA as f64
     );
     if units > daily {
-        println!(
+        outln!(
             "\n  ⚠ the plan exceeds one day of your quota; the Search endpoint\n\
              \u{2002}\u{2002}'is not designed for volume' — consider the ID-based pipeline\n\
              \u{2002}\u{2002}or narrower queries (see `ytaudit topics` and the paper's §6.1)."

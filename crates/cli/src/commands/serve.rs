@@ -100,11 +100,11 @@ fn server_config(args: &Args) -> Result<ServerConfig, ArgError> {
     })
 }
 
-fn serve_forever(base_url: &str) -> ! {
-    println!(
+fn serve_forever(base_url: &str) -> Result<(), ArgError> {
+    outln!(
         "try: curl '{base_url}/youtube/v3/search?part=snippet&q=higgs+boson&type=video&key=demo'"
     );
-    println!("     curl '{base_url}/metrics'");
+    outln!("     curl '{base_url}/metrics'");
     // Block forever; the process exits on signal. The server handle
     // stays alive in the caller's scope.
     loop {
@@ -120,6 +120,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     let config = server_config(args)?;
     let server = Server::bind(&addr, front, config)
         .map_err(|e| ArgError(format!("cannot bind {addr}: {e}")))?;
-    println!("listening on {} (thread per connection)", server.base_url());
+    outln!("listening on {} (thread per connection)", server.base_url());
     serve_forever(&server.base_url())
 }

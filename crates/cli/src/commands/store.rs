@@ -64,12 +64,14 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
 fn info(spath: &str, path: &Path) -> Result<(), ArgError> {
     let s =
         Store::inspect(path).map_err(|e| ArgError(format!("cannot read store {spath}: {e}")))?;
-    println!("store {spath}");
-    println!(
+    outln!("store {spath}");
+    outln!(
         "  size:      {} bytes, {} segments, {} records",
-        s.log_len, s.segments, s.records
+        s.log_len,
+        s.segments,
+        s.records
     );
-    println!(
+    outln!(
         "  blobs:     {} unique ({} bytes), {} references, dedup ×{:.2}",
         s.blobs,
         s.blob_bytes,
@@ -77,19 +79,20 @@ fn info(spath: &str, path: &Path) -> Result<(), ArgError> {
         s.dedup_ratio()
     );
     match s.planned_pairs {
-        Some(planned) => println!(
+        Some(planned) => outln!(
             "  progress:  {}/{planned} (topic, snapshot) pairs committed, complete: {}",
             s.committed_pairs,
             if s.complete { "yes" } else { "no" }
         ),
-        None => println!("  progress:  no collection started"),
+        None => outln!("  progress:  no collection started"),
     }
-    println!("  quota:     {} units recorded", s.quota_units);
+    outln!("  quota:     {} units recorded", s.quota_units);
     if s.torn_tail_bytes > 0 {
-        println!(
+        outln!(
             "  torn tail: {} bytes past byte {} (an interrupted append; left in place — \
              `collect --resume` truncates it)",
-            s.torn_tail_bytes, s.log_len
+            s.torn_tail_bytes,
+            s.log_len
         );
     }
     Ok(())
@@ -98,7 +101,7 @@ fn info(spath: &str, path: &Path) -> Result<(), ArgError> {
 fn verify(spath: &str, path: &Path) -> Result<(), ArgError> {
     let report =
         Store::verify_path(path).map_err(|e| ArgError(format!("cannot verify {spath}: {e}")))?;
-    println!(
+    outln!(
         "verified {spath}: {} records in {} bytes, {} blobs, {} commits{}",
         report.records,
         report.file_len,
@@ -107,10 +110,11 @@ fn verify(spath: &str, path: &Path) -> Result<(), ArgError> {
         if report.complete { ", complete" } else { "" }
     );
     if report.torn_tail_bytes > 0 {
-        println!(
+        outln!(
             "  torn tail: {} bytes past byte {} (an interrupted append; reopening the \
              store will truncate it)",
-            report.torn_tail_bytes, report.valid_len
+            report.torn_tail_bytes,
+            report.valid_len
         );
     }
     if let Some(error) = &report.first_error {
@@ -119,7 +123,7 @@ fn verify(spath: &str, path: &Path) -> Result<(), ArgError> {
     if report.torn_tail_bytes > 0 {
         return Err(ArgError(format!("{spath} has a torn tail (recoverable)")));
     }
-    println!("  ok");
+    outln!("  ok");
     Ok(())
 }
 
@@ -135,7 +139,7 @@ fn compact(spath: &str, path: &Path, out: Option<&str>) -> Result<(), ArgError> 
             let compacted = store
                 .compact(Path::new(dest))
                 .map_err(|e| ArgError(format!("compaction failed: {e}")))?;
-            println!(
+            outln!(
                 "compacted {spath} ({before} bytes) into {dest} ({} bytes)",
                 compacted.stats().log_len
             );
@@ -145,7 +149,7 @@ fn compact(spath: &str, path: &Path, out: Option<&str>) -> Result<(), ArgError> 
                 .compact_in_place()
                 .map_err(|e| ArgError(format!("compaction failed: {e}")))?;
             let after = compacted.stats().log_len;
-            println!("compacted {spath} in place: {before} → {after} bytes");
+            outln!("compacted {spath} in place: {before} → {after} bytes");
         }
     }
     Ok(())
@@ -234,7 +238,7 @@ fn merge(spath: &str, dest: &Path, explicit: &[String]) -> Result<(), ArgError> 
     }
     let report =
         merge_shards(dest, &shard_paths).map_err(|e| ArgError(format!("merge failed: {e}")))?;
-    println!(
+    outln!(
         "merged {} shard stores into {spath}: {}/{} pairs ({} re-committed this run{}), \
          {} bytes",
         shard_paths.len(),
@@ -248,7 +252,7 @@ fn merge(spath: &str, dest: &Path, explicit: &[String]) -> Result<(), ArgError> 
         },
         report.bytes
     );
-    println!(
+    outln!(
         "the shard files are no longer needed; verify with `ytaudit store verify {spath}` \
          and delete them when satisfied"
     );
@@ -263,7 +267,7 @@ fn export_json(spath: &str, path: &Path, out: &str) -> Result<(), ArgError> {
         .to_json()
         .map_err(|e| ArgError(format!("cannot serialize dataset: {e}")))?;
     write_atomic(out, &json).map_err(|e| ArgError(format!("cannot write {out}: {e}")))?;
-    println!(
+    outln!(
         "wrote {out}: {} snapshots, {} videos with metadata, {} channels, {} quota units",
         dataset.len(),
         dataset.video_meta.len(),

@@ -25,7 +25,7 @@ pub fn run(_args: &Args) -> Result<(), ArgError> {
             ]
         })
         .collect();
-    print!(
+    out!(
         "{}",
         tables::render(
             &[
@@ -38,7 +38,7 @@ pub fn run(_args: &Args) -> Result<(), ArgError> {
             &rows
         )
     );
-    println!(
+    outln!(
         "\nEach topic's collection window is its focal date ± 14 days,\n\
          queried one hour at a time (672 searches per topic per snapshot)."
     );

@@ -42,6 +42,29 @@
 //! (`ytaudit-lint`) over the source tree. Each command rejects an
 //! option its usage text does not declare.
 
+/// `println!` for command output: writes stdout through [`write_out`],
+/// so a closed pipe is a quiet success and any other write error ends
+/// the command with an [`ArgError`]. Use inside a function that returns
+/// `Result<_, ArgError>`.
+macro_rules! outln {
+    () => {
+        $crate::write_out(&mut ::std::io::stdout().lock(), format_args!("\n"))?
+    };
+    ($($arg:tt)*) => {
+        $crate::write_out(
+            &mut ::std::io::stdout().lock(),
+            format_args!("{}\n", format_args!($($arg)*)),
+        )?
+    };
+}
+
+/// `print!` for command output; see [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_out(&mut ::std::io::stdout().lock(), format_args!($($arg)*))?
+    };
+}
+
 mod args;
 mod commands;
 
@@ -119,13 +142,19 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
     }
 }
 
-/// Writes usage text to `out`. A reader that closed the pipe early
-/// (`ytaudit collect --help | head`) wanted no more of it: that is a
-/// quiet success, not a panic.
+/// Writes usage text to `out`, the way [`write_out`] writes any output.
 fn print_usage(out: &mut impl std::io::Write, text: &str) -> Result<(), ArgError> {
-    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+    write_out(out, format_args!("{text}\n"))
+}
+
+/// Writes and flushes command output. A reader that closed the pipe
+/// early (`ytaudit topics | head -1`) wanted no more of it: that is a
+/// quiet success, not a panic, and the command runs on. Any other write
+/// error (a full disk, say) is an [`ArgError`].
+fn write_out(out: &mut impl std::io::Write, args: std::fmt::Arguments) -> Result<(), ArgError> {
+    match out.write_fmt(args).and_then(|()| out.flush()) {
         Err(err) if err.kind() != std::io::ErrorKind::BrokenPipe => {
-            Err(ArgError(format!("cannot write usage: {err}")))
+            Err(ArgError(format!("cannot write output: {err}")))
         }
         _ => Ok(()),
     }
