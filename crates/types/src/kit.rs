@@ -13,11 +13,8 @@
 //!   prints the `YTAUDIT_PROP_SEED` value and case number that reproduce
 //!   it.
 
-/// The environment variable that rotates every seeded suite.
-pub const SEED_VAR: &str = "YTAUDIT_PROP_SEED";
-
 /// The fixed seed [`check`] rotates.
-pub const FIXED_SEED: u64 = 0x5EED_CAFE;
+const FIXED_SEED: u64 = 0x5EED_CAFE;
 
 /// SplitMix64's increment, the golden-ratio "gamma".
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -34,7 +31,7 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// A SplitMix64 stream: deterministic, dependency-free, fully determined
 /// by its seed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rng(u64);
 
 impl Rng {
@@ -63,14 +60,14 @@ impl Rng {
     }
 }
 
-/// A suite's seed: `fixed` unless [`SEED_VAR`] is set. When it is, the
-/// value is reported on stderr (which the test harness shows for a
-/// failing test) and rotates the seed.
+/// A suite's seed: `fixed` unless `YTAUDIT_PROP_SEED` is set. When it
+/// is, the value is reported on stderr (which the test harness shows for
+/// a failing test) and rotates the seed.
 pub fn prop_seed(fixed: u64) -> u64 {
     let raw = raw_seed();
     let seed = seed_from(raw.as_deref(), fixed);
     if let Some(raw) = raw {
-        eprintln!("{SEED_VAR}={raw}: seed {fixed:#x} becomes {seed:#x}");
+        eprintln!("YTAUDIT_PROP_SEED={raw}: seed {fixed:#x} becomes {seed:#x}");
     }
     seed
 }
@@ -88,16 +85,18 @@ fn seed_from(raw: Option<&str>, fixed: u64) -> u64 {
 }
 
 /// Runs `property` on `cases` random cases drawn from one stream, seeded
-/// with [`prop_seed`]`(`[`FIXED_SEED`]`)`; `salt` gives each property its
-/// own stream. A failing case prints the seed variable's value and the
-/// case number to stderr as the panic unwinds.
+/// by the [`prop_seed`] rule from one fixed seed shared by every `check`
+/// suite; `salt` gives each property its own stream. A failing case
+/// prints the seed variable's value and the case number to stderr as the
+/// panic unwinds.
 pub fn check(cases: usize, salt: u64, property: impl FnMut(&mut Rng)) {
     run(raw_seed().as_deref(), cases, salt, property);
 }
 
-/// The value of [`SEED_VAR`], if set: the one place the kit reads it.
+/// The value of `YTAUDIT_PROP_SEED`, if set: the one place the kit reads
+/// it.
 fn raw_seed() -> Option<String> {
-    std::env::var(SEED_VAR).ok()
+    std::env::var("YTAUDIT_PROP_SEED").ok()
 }
 
 fn run(raw: Option<&str>, cases: usize, salt: u64, mut property: impl FnMut(&mut Rng)) {
@@ -118,8 +117,14 @@ struct Case<'a> {
 impl Case<'_> {
     fn failure_line(&self) -> String {
         match self.raw {
-            Some(raw) => format!("property failed: {SEED_VAR}={raw} case {}", self.case),
-            None => format!("property failed: {SEED_VAR} unset, case {}", self.case),
+            Some(raw) => format!(
+                "property failed: YTAUDIT_PROP_SEED={raw} case {}",
+                self.case
+            ),
+            None => format!(
+                "property failed: YTAUDIT_PROP_SEED unset, case {}",
+                self.case
+            ),
         }
     }
 }
