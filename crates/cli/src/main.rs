@@ -117,10 +117,8 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
     let args = Args::parse(tokens, FLAGS)?;
     let command = args.positional(0).unwrap_or("help");
     if args.flag("help") {
-        return print_usage(
-            &mut std::io::stdout().lock(),
-            commands::usage_for(command).unwrap_or(USAGE),
-        );
+        outln!("{}", commands::usage_for(command).unwrap_or(USAGE));
+        return Ok(());
     }
     if let Some(usage) = commands::usage_for(command) {
         args.reject_unknown(command, usage)?;
@@ -135,16 +133,14 @@ fn run(tokens: Vec<String>) -> Result<(), ArgError> {
         "quota" => commands::quota::run(&args),
         "lint" => commands::lint::run(&args),
         "topics" => commands::topics::run(&args),
-        "help" | "--help" => print_usage(&mut std::io::stdout().lock(), USAGE),
+        "help" | "--help" => {
+            outln!("{USAGE}");
+            Ok(())
+        }
         other => Err(ArgError(format!(
             "unknown command {other:?}; run `ytaudit help`"
         ))),
     }
-}
-
-/// Writes usage text to `out`, the way [`write_out`] writes any output.
-fn print_usage(out: &mut impl std::io::Write, text: &str) -> Result<(), ArgError> {
-    write_out(out, format_args!("{text}\n"))
 }
 
 /// Writes and flushes command output. A reader that closed the pipe
@@ -216,11 +212,11 @@ mod tests {
     #[test]
     fn usage_on_a_closed_pipe_is_a_quiet_success() {
         let mut closed = Failing(std::io::ErrorKind::BrokenPipe);
-        assert!(print_usage(&mut closed, USAGE).is_ok());
+        assert!(write_out(&mut closed, format_args!("{USAGE}\n")).is_ok());
         let mut full = Failing(std::io::ErrorKind::StorageFull);
-        assert!(print_usage(&mut full, USAGE).is_err());
+        assert!(write_out(&mut full, format_args!("{USAGE}\n")).is_err());
         let mut out = Vec::new();
-        print_usage(&mut out, "usage: x").unwrap();
+        write_out(&mut out, format_args!("usage: x\n")).unwrap();
         assert_eq!(out, b"usage: x\n");
     }
 }
