@@ -36,10 +36,13 @@ OPTIONS:
     --follow             tail a live store: fold each committed pair into the
                          running accumulators the moment it lands, and finish
                          once the collection ends (progress on stderr)
-    --poll-ms <n>        follow poll interval in milliseconds (default 250)
-    --checkpoint <path>  persist analyzer state after every advancing poll;
-                         a restarted analysis resumes from the checkpoint
-                         instead of re-folding from scratch
+    --poll-ms <n>        longest wait between follow polls of an idle store,
+                         in milliseconds (default 250, at least 1); a poll
+                         that read something is followed by another at once
+    --checkpoint <path>  persist analyzer state whenever the pairs folded
+                         since the last write reach the count it held (at
+                         1, 2, 4, … pairs); a restarted analysis resumes
+                         from the checkpoint and re-folds only the rest
     --max-buffered <n>   cap on out-of-order pairs held in memory
                          (exceeding it is an error)
     --platform <name>    assert the store was collected from this backend
@@ -105,9 +108,13 @@ fn build_report(args: &Args) -> Result<AnalysisReport, ArgError> {
         ));
     }
     let follow = args.flag("follow");
+    let poll_ms = args.get_parsed("poll-ms", 250u64)?;
+    if poll_ms == 0 {
+        return Err(ArgError("--poll-ms must be at least 1".into()));
+    }
     let options = FollowOptions {
         follow,
-        poll_ms: args.get_parsed("poll-ms", 250u64)?,
+        poll_ms,
         checkpoint: args.get("checkpoint").map(PathBuf::from),
         max_buffered: match args.get("max-buffered") {
             None => None,
@@ -222,5 +229,19 @@ mod tests {
             assert_eq!(report.to_json(), batch.to_json(), "{args:?}");
             assert!(ckpt.exists());
         }
+    }
+
+    /// A zero poll cap would leave nothing between an idle follower's
+    /// passes: it is refused before the store is opened.
+    #[test]
+    fn a_zero_poll_interval_is_refused() {
+        let err = build_report(&analyze_args(&[
+            "--store",
+            "missing.yts",
+            "--follow",
+            "--poll-ms",
+            "0",
+        ]));
+        assert_eq!(err.unwrap_err().0, "--poll-ms must be at least 1");
     }
 }

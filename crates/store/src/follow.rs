@@ -7,11 +7,18 @@
 //!
 //! Memory stays bounded by accumulator state and the reader's blob
 //! bodies: pairs are folded one at a time straight off the log and never
-//! gathered into a dataset. An
-//! optional checkpoint file makes the fold progress itself crash-safe —
-//! it is replaced atomically (tmp + fsync + rename + directory sync,
-//! with the `stats.pre-checkpoint` faultpoint at the kill boundary), and
-//! a restart decodes it, re-reads the log from the start, and lets the
+//! gathered into a dataset. A follow re-polls at once after a pass that
+//! read something and backs off when the store is idle ([`next_wait`]),
+//! so a pair is folded soon after it lands.
+//!
+//! An optional checkpoint file makes the fold progress itself
+//! crash-safe. It is written on a doubling schedule ([`checkpoint_due`]):
+//! when the pairs folded since the last write are at least as many as
+//! that write held, so a follow writes it a logarithmic number of times
+//! and a restart refolds at most half of what was folded. Each write
+//! replaces it atomically (tmp + fsync + rename + directory sync, with
+//! the `stats.pre-checkpoint` faultpoint at the kill boundary), and a
+//! restart decodes it, re-reads the log from the start, and lets the
 //! analyzer's fold watermark drop the already-folded prefix.
 
 use crate::error::{Result, StoreError};
@@ -38,9 +45,12 @@ pub struct FollowOptions {
     /// its missing topics as empty pairs and a snapshot with none is
     /// skipped.
     pub follow: bool,
-    /// Sleep between polls, in milliseconds.
+    /// The longest wait between polls of an idle store, in milliseconds
+    /// (read as at least 1). After a pass that read something the reader
+    /// polls again at once; see [`next_wait`].
     pub poll_ms: u64,
-    /// Where to persist analyzer checkpoints (and resume from).
+    /// Where to persist analyzer checkpoints (and resume from), on the
+    /// schedule of [`checkpoint_due`].
     pub checkpoint: Option<PathBuf>,
     /// Reorder-buffer cap forwarded to [`Analyzer::with_max_buffered`].
     pub max_buffered: Option<usize>,
@@ -62,8 +72,8 @@ impl Default for FollowOptions {
     }
 }
 
-/// Live progress, passed to the caller's callback after every pass over
-/// the store.
+/// Live progress, passed to the caller's callback after the first pass
+/// over the store and after each pass that read something.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FollowProgress {
     /// Pairs folded so far.
@@ -80,8 +90,8 @@ pub struct FollowOutcome {
     /// The finalized report.
     pub report: AnalysisReport,
     /// Pairs folded in plan order (resumed pairs included): the fold
-    /// watermark of the last checkpoint. The empty pairs that complete
-    /// the snapshots of an incomplete store are not counted.
+    /// watermark when the read ended. The empty pairs that complete the
+    /// snapshots of an incomplete store are not counted.
     pub folded_pairs: u64,
     /// Largest number of pairs the reorder buffer ever held.
     pub peak_buffered: usize,
@@ -95,6 +105,32 @@ pub struct FollowOutcome {
 /// fold is slower than the next decode.
 const READ_AHEAD: usize = 8;
 
+/// The reader's wait after the first pass that reads nothing.
+const FIRST_WAIT: Duration = Duration::from_millis(1);
+
+/// How long the follow reader waits after a pass, given the wait before
+/// it. After a pass that read something (`advanced`) it polls again at
+/// once: a live writer is mid-collection. An idle pass waits
+/// [`FIRST_WAIT`], then twice the previous wait, never more than `cap`
+/// (the poll interval, read as at least [`FIRST_WAIT`]).
+fn next_wait(prev: Duration, advanced: bool, cap: Duration) -> Duration {
+    if advanced {
+        return Duration::ZERO;
+    }
+    prev.saturating_mul(2)
+        .clamp(FIRST_WAIT, cap.max(FIRST_WAIT))
+}
+
+/// Whether a pass that leaves `folded` pairs folded writes a checkpoint,
+/// when the last one written (or resumed from) held `last`: once the
+/// pairs folded since are at least as many as it held. Pairs folded one
+/// per pass are checkpointed at watermarks 1, 2, 4, 8, …, so a follow
+/// writes O(log n) checkpoints and a restart refolds fewer pairs than
+/// the checkpoint it resumes from holds.
+fn checkpoint_due(folded: u64, last: u64) -> bool {
+    folded > last && folded - last >= last
+}
+
 /// What the reader thread sends: one event, or the end of one pass over
 /// the store.
 enum Read {
@@ -105,12 +141,14 @@ enum Read {
 /// Folds the committed pairs of the store at `path` into a streaming
 /// analyzer and returns the finalized report: once the collection ends
 /// when following, at the end of the file otherwise. `progress` is
-/// called after every pass over the store, so a one-shot read calls it
-/// once.
+/// called after the first pass over the store and after each later pass
+/// that read an event, so a one-shot read calls it once and an idle
+/// follow does not call it at all.
 ///
 /// A scoped `ytaudit-read` thread reads the store into a channel bounded
 /// by [`READ_AHEAD`], while this thread folds the events in the order
-/// they were read and checkpoints after each pass. A read error ends the
+/// they were read and, after each pass, checkpoints when
+/// [`checkpoint_due`] says so. A read error ends the
 /// reader's stream; a fold error drops the receiving end, which stops
 /// the reader at its next send, and wakes it from a poll interval. So
 /// the first error in file order is the one returned, and no thread
@@ -153,8 +191,9 @@ pub fn follow_analyze(
 /// The reader thread: sends every event of a pass over `reader`, then
 /// [`Read::CaughtUp`]. Without a `poll` interval it makes one pass to
 /// the end of the file under [`TailReader::next_event`]'s rule; with one
-/// it polls, stalling at a torn tail and sleeping `poll` between passes,
-/// until it has sent the end record. It stops after the first error,
+/// it polls, stalling at a torn tail and waiting [`next_wait`] with
+/// `poll` as the cap between passes, until it has sent the end record.
+/// It stops after the first error,
 /// once the receiver is gone, or when `stop` disconnects. Returns how
 /// many events it read.
 fn read_store(
@@ -163,8 +202,9 @@ fn read_store(
     events: &SyncSender<Result<Read>>,
     stop: &Receiver<()>,
 ) -> u64 {
-    let mut read = 0;
+    let (mut read, mut wait) = (0, Duration::ZERO);
     loop {
+        let before = read;
         // A failed send means the fold has returned; the error only ends
         // the pass, and nobody receives it.
         let mut send = |event: TailEvent| {
@@ -182,10 +222,11 @@ fn read_store(
         if events.send(pass.map(|()| Read::CaughtUp)).is_err() || failed || reader.ended() {
             return read;
         }
-        let Some(poll) = poll else {
+        let Some(cap) = poll else {
             return read;
         };
-        if stop.recv_timeout(poll) != Err(RecvTimeoutError::Timeout) {
+        wait = next_wait(wait, read > before, cap);
+        if stop.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
             return read;
         }
     }
@@ -193,8 +234,9 @@ fn read_store(
 
 /// Folds the reader's events in order: every pair through
 /// [`Analyzer::offer`] at its plan index, and after each pass a
-/// checkpoint and a progress report. Once the reader stops, the
-/// committed prefix of an incomplete store is completed with
+/// checkpoint when one is due and a progress report when the pass is the
+/// first or read an event. Once the reader stops, the committed prefix
+/// of an incomplete store is completed with
 /// [`Analyzer::fold_committed_prefix`], after the last checkpoint write.
 /// Takes the receiver by value, so returning early — on an error — drops
 /// it and stops the reader.
@@ -207,9 +249,13 @@ fn fold(
 ) -> Result<FollowOutcome> {
     let resumed_from = analyzer.as_ref().map(Analyzer::folded_pairs);
     let mut plan: Option<CollectionMeta> = None;
-    let mut checkpointed = (resumed_from.unwrap_or(0), false);
+    let mut checkpointed = resumed_from.unwrap_or(0);
+    // Whether the pass being read is the first or has read an event.
+    let mut report = true;
     for read in events {
-        match read? {
+        let read = read?;
+        report |= matches!(read, Read::Event(_));
+        match read {
             Read::Event(TailEvent::Begin(meta)) => {
                 if options.follow && meta.shard.is_some() {
                     return Err(StoreError::Plan(format!(
@@ -270,19 +316,19 @@ fn fold(
                 let (folded, ended) = analyzer
                     .as_ref()
                     .map_or((0, false), |a| (a.folded_pairs(), a.ended()));
-                // Only rewrite the checkpoint when this pass advanced the
-                // fold watermark (or folded the end record).
                 if let (Some(ckpt_path), Some(analyzer)) = (&options.checkpoint, &analyzer) {
-                    if folded > checkpointed.0 || (ended && !checkpointed.1) {
+                    if checkpoint_due(folded, checkpointed) {
                         write_checkpoint(ckpt_path, &analyzer.encode_state())?;
-                        checkpointed = (folded, ended);
+                        checkpointed = folded;
                     }
                 }
-                progress(FollowProgress {
-                    folded_pairs: folded,
-                    planned_pairs: plan.as_ref().map(CollectionMeta::pairs),
-                    ended,
-                });
+                if std::mem::take(&mut report) {
+                    progress(FollowProgress {
+                        folded_pairs: folded,
+                        planned_pairs: plan.as_ref().map(CollectionMeta::pairs),
+                        ended,
+                    });
+                }
             }
         }
     }
@@ -908,5 +954,135 @@ mod tests {
                 ended: true,
             })
         );
+    }
+
+    #[test]
+    fn the_wait_resets_after_an_advance_and_doubles_to_the_cap_when_idle() {
+        let ms = Duration::from_millis;
+        let cap = ms(50);
+        let mut wait = Duration::ZERO;
+        let idle: Vec<u128> = (0..8)
+            .map(|_| {
+                wait = next_wait(wait, false, cap);
+                wait.as_millis()
+            })
+            .collect();
+        assert_eq!(idle, [1, 2, 4, 8, 16, 32, 50, 50]);
+        assert_eq!(next_wait(cap, true, cap), Duration::ZERO);
+        assert_eq!(next_wait(Duration::ZERO, false, cap), ms(1));
+        // A cap under the first wait is read as the first wait: an idle
+        // reader never spins.
+        assert_eq!(next_wait(Duration::ZERO, false, Duration::ZERO), ms(1));
+        assert_eq!(next_wait(ms(1), false, Duration::ZERO), ms(1));
+        assert_eq!(next_wait(ms(40), false, ms(60_000)), ms(80));
+    }
+
+    #[test]
+    fn checkpoints_fall_due_at_doubling_watermarks() {
+        let mut last = 0;
+        let due: Vec<u64> = (0..=40)
+            .filter(|&folded| {
+                let due = checkpoint_due(folded, last);
+                if due {
+                    last = folded;
+                }
+                due
+            })
+            .collect();
+        assert_eq!(due, [1, 2, 4, 8, 16, 32]);
+        // A pass that folded nothing new never writes.
+        assert!(!checkpoint_due(6, 6));
+        // Several pairs per pass: due once the pairs since the last write
+        // reach the count it held.
+        assert!(!checkpoint_due(5, 3));
+        assert!(checkpoint_due(6, 3));
+        assert!(checkpoint_due(9, 3));
+    }
+
+    /// A follow that reads one pair per pass of a 12-pair plan reports
+    /// progress once per pass that read an event, checkpoints at fold
+    /// watermarks 1, 2, 4 and 8, and writes nothing for the last four
+    /// pairs or the end record. A restart resumes from 8 and reports the
+    /// batch bytes.
+    #[test]
+    fn a_pair_per_pass_follow_checkpoints_at_doubling_watermarks() {
+        let dir = TempDir::new("follow-doubling");
+        let path = dir.file("audit.yts");
+        let ckpt = dir.file("analyze.ckpt");
+        let meta = CollectionMeta {
+            dates: (0..6)
+                .map(|i| Timestamp::from_ymd(2025, 2, 9).unwrap().add_days(i))
+                .collect(),
+            ..meta2x3()
+        };
+        let mut store = Store::create(&path).unwrap();
+        store.begin_collection(meta.clone()).unwrap();
+        let options = FollowOptions {
+            follow: true,
+            poll_ms: 5,
+            checkpoint: Some(ckpt.clone()),
+            ..FollowOptions::default()
+        };
+        let mut reported = Vec::new();
+        let outcome = std::thread::scope(|scope| {
+            let (folded_tx, folded) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                // Commit the next pair, and the end record, only once the
+                // fold has reported all before it, so every pass after the
+                // first reads one event.
+                let mut committed = 0;
+                let wait_for_fold = |pairs| folded.iter().any(|f| f == pairs);
+                for (idx, &date) in meta.dates.iter().enumerate() {
+                    for (t_idx, &topic) in meta.topics.iter().enumerate() {
+                        if !wait_for_fold(committed) {
+                            return;
+                        }
+                        store
+                            .commit_snapshot(&TopicCommit {
+                                topic,
+                                snapshot: idx,
+                                date,
+                                data: &data(t_idx, idx),
+                                comments: None,
+                                videos: &[],
+                                quota_delta: 11,
+                            })
+                            .unwrap();
+                        committed += 1;
+                    }
+                }
+                if wait_for_fold(committed) {
+                    store.finish_collection(&[], 4).unwrap();
+                }
+            });
+            follow_analyze(&path, &options, |p| {
+                reported.push(p.folded_pairs);
+                let _ = folded_tx.send(p.folded_pairs);
+            })
+        })
+        .unwrap();
+        assert_eq!(outcome.folded_pairs, 12);
+        // The first pass read the plan, each later one a pair, the last
+        // the end record.
+        let passes: Vec<u64> = (0..=12).chain([12]).collect();
+        assert_eq!(reported, passes);
+        let batch = batch(&path, None).unwrap().report.to_json();
+        assert_eq!(outcome.report.to_json(), batch);
+        let checkpoint = Analyzer::decode_state(&std::fs::read(&ckpt).unwrap()).unwrap();
+        assert_eq!(checkpoint.folded_pairs(), 8);
+
+        let resumed = follow_analyze(
+            &path,
+            &FollowOptions {
+                follow: false,
+                checkpoint: Some(ckpt),
+                ..FollowOptions::default()
+            },
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(resumed.resumed_from, Some(8));
+        assert_eq!(resumed.folded_pairs, 12);
+        assert_eq!(resumed.report.to_json(), batch);
     }
 }

@@ -10,7 +10,8 @@
 //! * all pairs at once (a complete store, single poll);
 //! * one pair per poll (the steady-state tail of a live collection);
 //! * chunked polls with a checkpoint encode/decode restart mid-stream;
-//! * a writer and a follower running concurrently on the real file.
+//! * a writer and a follower running concurrently on the real file, and
+//!   the same race checkpointed, then restarted.
 //!
 //! Payloads are a pure function of `(seed, topic, snapshot)`, with the
 //! seed rotated by `YTAUDIT_PROP_SEED` (CI sets it per commit) so
@@ -348,42 +349,78 @@ fn chunked_polls_with_a_checkpoint_restart_match_batch() {
     assert_eq!(analyzer.finish().to_json(), batch_json(&path));
 }
 
-#[test]
-fn concurrent_collector_and_follower_match_batch() {
-    let dir = TempDir::new("eq-live");
-    let path = dir.file("store.yts");
+/// Follows the store at `path` while a writer thread commits a
+/// two-topic, four-snapshot collection into it, pausing between pairs.
+fn follow_a_live_writer(
+    path: &Path,
+    seed: u64,
+    checkpoint: Option<&Path>,
+) -> ytaudit::store::FollowOutcome {
     let cfg = full_config(vec![Topic::Higgs, Topic::Blm], 4);
-    let seed = env_seed().wrapping_add(30);
-
     // The store file (with its magic) must exist before the follower
     // opens it; the writer then races the poll loop for real.
-    let mut store = Store::create(&path).unwrap();
-    let writer = {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || {
-            CollectorSink::begin(&mut store, &cfg).unwrap();
-            for snapshot in 0..cfg.schedule.len() {
-                for &topic in &cfg.topics {
-                    commit_one(&mut store, &cfg, snapshot, topic, seed);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
+    let mut store = Store::create(path).unwrap();
+    let writer = std::thread::spawn(move || {
+        CollectorSink::begin(&mut store, &cfg).unwrap();
+        for snapshot in 0..cfg.schedule.len() {
+            for &topic in &cfg.topics {
+                commit_one(&mut store, &cfg, snapshot, topic, seed);
+                std::thread::sleep(std::time::Duration::from_millis(2));
             }
-            CollectorSink::finish(&mut store, &channels(&cfg), FINISH_DELTA).unwrap();
-        })
-    };
+        }
+        CollectorSink::finish(&mut store, &channels(&cfg), FINISH_DELTA).unwrap();
+    });
     let outcome = follow_analyze(
-        &path,
+        path,
         &FollowOptions {
             follow: true,
             poll_ms: 5,
+            checkpoint: checkpoint.map(Path::to_path_buf),
             ..FollowOptions::default()
         },
         |_| {},
     )
     .unwrap();
     writer.join().unwrap();
+    outcome
+}
+
+#[test]
+fn concurrent_collector_and_follower_match_batch() {
+    let dir = TempDir::new("eq-live");
+    let path = dir.file("store.yts");
+    let outcome = follow_a_live_writer(&path, env_seed().wrapping_add(30), None);
     assert_eq!(outcome.folded_pairs, 8);
     assert_eq!(outcome.report.to_json(), batch_json(&path));
+}
+
+/// The same race with a checkpoint: whatever passes the follower made,
+/// its last checkpoint holds more than half of the eight pairs (the
+/// doubling schedule), and a restart from it matches batch.
+#[test]
+fn concurrent_collector_and_checkpointed_follower_restart_matches_batch() {
+    let dir = TempDir::new("eq-live-ckpt");
+    let path = dir.file("store.yts");
+    let ckpt = dir.file("analyze.ckpt");
+    let outcome = follow_a_live_writer(&path, env_seed().wrapping_add(31), Some(&ckpt));
+    assert_eq!(outcome.folded_pairs, 8);
+    assert_eq!(outcome.report.to_json(), batch_json(&path));
+
+    let restarted = follow_analyze(
+        &path,
+        &FollowOptions {
+            checkpoint: Some(ckpt),
+            ..one_shot()
+        },
+        |_| {},
+    )
+    .unwrap();
+    let resumed = restarted
+        .resumed_from
+        .expect("the follow left a checkpoint");
+    assert!((5..=8).contains(&resumed), "checkpoint at {resumed} of 8");
+    assert_eq!(restarted.folded_pairs, 8);
+    assert_eq!(restarted.report.to_json(), batch_json(&path));
 }
 
 #[test]
